@@ -26,18 +26,17 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .exceptions import PoleError, ShenError
-from .field import (ShenContext, c_squared, d_complex, s_squared, sc_product)
-from .verify import VerificationReport, available_suites, run_suites
-from .weierstrass import invariants_of_modulus, lattice_of_invariants, wp
+import numpy as np
 
-_FUNCTIONS = {
-    "d": d_complex,
-    "s2": s_squared,
-    "c2": c_squared,
-    "sc": sc_product,
-    "wp": lambda ctx, z: wp(z, ctx.inv, ctx.lat),
-}
+from .exceptions import ShenError
+from .field import BATCH_FUNCTIONS, cached_context
+from .verify import VerificationReport, available_suites, run_suites
+from .weierstrass import invariants_of_modulus, lattice_of_invariants
+
+#: Most points a grid spec, or a whole ``sample`` grid, may hold.
+MAX_GRID_POINTS = 1_000_000
+
+_CSV_HEADER = "re_z,im_z,re_f,im_f,is_pole\n"
 
 
 class UsageError(ValueError):
@@ -60,26 +59,35 @@ def parse_k_list(text):
 
 
 def parse_grid(spec):
-    """``start:step:stop`` inclusive of both ends, or a single number."""
+    """``start:step:stop`` inclusive of both ends, or a single number.
+
+    Every number must be finite and the grid may hold at most
+    ``MAX_GRID_POINTS`` points; both are checked before the list is built.
+    """
     if spec is None or spec == "":
         raise UsageError("empty grid spec")
     parts = spec.split(":")
+    if len(parts) not in (1, 3):
+        raise UsageError(f"grid spec {spec!r} is not start:step:stop")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
-            raise UsageError(f"grid spec {spec!r} is not start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        numbers = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad number in grid spec {spec!r}") from exc
+    if not all(math.isfinite(x) for x in numbers):
+        raise UsageError(f"non-finite number in grid spec {spec!r}")
+    if len(numbers) == 1:
+        return numbers
+    start, step, stop = numbers
     if step == 0.0:
         if start == stop:
             return [start]
         raise UsageError(f"zero step in grid spec {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if count < 1:
+    span = (stop - start) / step + 1e-9
+    if span < 0.0:
         raise UsageError(f"grid spec {spec!r} produces no points")
-    return [start + i * step for i in range(count)]
+    if not span < MAX_GRID_POINTS:        # also an overflow to inf
+        raise UsageError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 @dataclass
@@ -98,37 +106,50 @@ class SampleGrid:
     rows: list
 
 
+def _check_function(name):
+    if name not in BATCH_FUNCTIONS:
+        raise UsageError(f"unknown function {name!r}; choose from "
+                         f"{', '.join(sorted(BATCH_FUNCTIONS))}")
+
+
 def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
-    if function not in _FUNCTIONS:
-        raise UsageError(f"unknown function {function!r}; choose from "
-                         f"{', '.join(sorted(_FUNCTIONS))}")
-    ctx = ShenContext.from_modulus(k)
-    fn = _FUNCTIONS[function]
-    rows = []
-    for im in im_axis:
-        for re in re_axis:
-            z = complex(re, im)
-            try:
-                value = complex(fn(ctx, z))
-                if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                    raise PoleError(f"non-finite value at z={z!r}")
-                rows.append((re, im, value.real, value.imag, 0))
-            except PoleError:
-                rows.append((re, im, None, None, 1))
+    """Sample ``function`` at every re + i im, in one vectorised pass.
+
+    The z-mesh is built once and evaluated by the batch wp kernel, which
+    works through it in fixed-size chunks; the lattice of ``k`` comes from
+    the shared context cache. A row is a pole (``is_pole=1``) exactly
+    where the scalar function raises PoleError: ``wp`` within
+    POLE_EXCLUSION of a lattice point; ``d``, ``s2`` and ``c2`` where
+    |wp + 1/3| < D_POLE_TOL (d is exactly 1 at lattice points); ``sc``
+    only where both difference directions hit a pole of d, so at
+    +-(2/3) iK' it returns a huge finite value. Any non-finite value is a
+    pole as well.
+    """
+    _check_function(function)
+    re = np.asarray(re_axis, dtype=float)
+    im = np.asarray(im_axis, dtype=float)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise UsageError("grid coordinates must be finite")
+    ctx = cached_context(k)
+    z = np.empty((im.size, re.size), dtype=complex)
+    z.real = re
+    z.imag = im[:, None]
+    values, pole = BATCH_FUNCTIONS[function](ctx, z.ravel())
+    pole |= ~np.isfinite(values)
+    coords = [(x, y) for y in im_axis for x in re_axis]
+    rows = [(x, y, None, None, 1) if flag else (x, y, ref, imf, 0)
+            for (x, y), ref, imf, flag in zip(coords, values.real.tolist(),
+                                              values.imag.tolist(), pole.tolist())]
     return SampleGrid(k=k, function=function, re_axis=list(re_axis),
                       im_axis=list(im_axis), rows=rows)
 
 
 def sample_grid_to_csv(grid: SampleGrid) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["re_z", "im_z", "re_f", "im_f", "is_pole"])
-    for re, im, ref, imf, pole in grid.rows:
-        if pole:
-            writer.writerow([fmt(re), fmt(im), "", "", "1"])
-        else:
-            writer.writerow([fmt(re), fmt(im), fmt(ref), fmt(imf), "0"])
-    return out.getvalue()
+    """The grid's rows as CSV; a finite float's repr never needs quoting."""
+    return _CSV_HEADER + "".join(
+        f"{fmt(re)},{fmt(im)},,,1\n" if pole
+        else f"{fmt(re)},{fmt(im)},{fmt(ref)},{fmt(imf)},0\n"
+        for re, im, ref, imf, pole in grid.rows)
 
 
 def sample_grid_rows_from_csv(text: str):
@@ -249,9 +270,7 @@ def cmd_periods(args) -> int:
 
 def cmd_eval(args) -> int:
     k = _single_k(args)
-    if args.fn not in _FUNCTIONS:
-        raise UsageError(f"unknown function {args.fn!r}; choose from "
-                         f"{', '.join(sorted(_FUNCTIONS))}")
+    _check_function(args.fn)
     re_axis = parse_grid(args.real if args.real is not None else "0")
     im_axis = parse_grid(args.imag if args.imag is not None else "0")
     if len(re_axis) != 1 or len(im_axis) != 1:
@@ -279,6 +298,8 @@ def cmd_verify(args) -> int:
         if unknown or not names:
             raise UsageError(f"unknown suite {','.join(unknown) or args.suite!r}; "
                              f"choose from all, {', '.join(available_suites())}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise UsageError(f"--tol must be finite and positive, got {args.tol!r}")
     reports = run_suites(names, ks, tol=args.tol)
     text = reports_to_json(reports) if args.json else reports_to_text(reports)
     _emit(text, args.out)
@@ -291,6 +312,9 @@ def cmd_sample(args) -> int:
         raise UsageError("sample needs --real and/or --imag grid specs")
     re_axis = parse_grid(args.real if args.real is not None else "0")
     im_axis = parse_grid(args.imag if args.imag is not None else "0")
+    if len(re_axis) * len(im_axis) > MAX_GRID_POINTS:
+        raise UsageError(f"grid of {len(re_axis)} x {len(im_axis)} points is over "
+                         f"the cap of {MAX_GRID_POINTS}")
     grid = build_sample_grid(k, args.fn, re_axis, im_axis)
     text = sample_grid_to_json(grid) if args.json else sample_grid_to_csv(grid)
     _emit(text, args.out)

@@ -12,12 +12,13 @@ only exposed on the real principal branch (see :mod:`shenell.phase`).
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import DegenerateError, DomainError, PoleError
 from .phase import Modulus
-from .weierstrass import (Invariants, Lattice, invariants_of_modulus,
+from .weierstrass import (Invariants, Lattice, _wp_batch, invariants_of_modulus,
                           lattice_of_invariants, wp)
 
 #: |wp + 1/3| below this counts as a pole of d.
@@ -39,6 +40,16 @@ class ShenContext:
     def from_modulus(cls, k: Modulus) -> "ShenContext":
         inv = invariants_of_modulus(k)
         return cls(k=k, inv=inv, lat=lattice_of_invariants(inv))
+
+
+@lru_cache(maxsize=32)
+def cached_context(k: Modulus) -> ShenContext:
+    """``ShenContext.from_modulus(k)``, kept for the 32 most recent moduli.
+
+    Shared by the verify suites and the grid sampler, so repeated calls at
+    one modulus build its lattice once.
+    """
+    return ShenContext.from_modulus(k)
 
 
 def d_complex(ctx: ShenContext, z) -> complex:
@@ -89,6 +100,70 @@ def sc_product(ctx: ShenContext, z, h: float = _FD_STEP) -> complex:
         derivative = (fp - fm) / (2.0 * h * direction)
         return -3.0 / (16.0 * ctx.k ** 2) * derivative
     raise PoleError(f"both difference directions at z={z!r} hit poles of d")
+
+
+def _wp_values(ctx: ShenContext, z):
+    p, _, pole = _wp_batch(z, ctx.inv, ctx.lat)
+    return p, pole
+
+
+def _d_values(ctx: ShenContext, z):
+    # d_complex's rules: exactly 1 at lattice points, a pole where
+    # |wp + 1/3| < D_POLE_TOL
+    p, lattice = _wp_values(ctx, z)
+    denom = p + 1.0 / 3.0
+    pole = np.abs(denom) < D_POLE_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 1.0 - (4.0 / 9.0) * ctx.k ** 2 / denom
+    d[lattice] = 1.0
+    d[pole] = np.nan
+    return d, pole
+
+
+def _s2_values(ctx: ShenContext, z):
+    d, pole = _d_values(ctx, z)
+    return (1.0 - d) * ((2.0 + d) * (2.0 + d)) / (4.0 * ctx.k ** 2), pole
+
+
+def _c2_values(ctx: ShenContext, z):
+    s2, pole = _s2_values(ctx, z)
+    return 1.0 - s2, pole
+
+
+def _sc_values(ctx: ShenContext, z):
+    # sc_product's central difference with step _FD_STEP: the real
+    # direction, then the imaginary one where the real one hits a pole of
+    # d; a pole only where both do
+    values = np.full(z.shape, np.nan, dtype=complex)
+    todo = np.arange(z.size)
+    for direction in (1.0 + 0.0j, 1.0j):
+        step = _FD_STEP * direction
+        d, pole = _d_values(ctx, np.concatenate([z[todo] + step, z[todo] - step]))
+        half = todo.size
+        ok = ~(pole[:half] | pole[half:])
+        fp = d[:half][ok] + 2.0
+        fm = d[half:][ok] + 2.0
+        derivative = (fp * fp - fm * fm) / (2.0 * _FD_STEP * direction)
+        values[todo[ok]] = -3.0 / (16.0 * ctx.k ** 2) * derivative
+        todo = todo[~ok]
+        if todo.size == 0:
+            break
+    pole = np.zeros(z.shape, dtype=bool)
+    pole[todo] = True
+    return values, pole
+
+
+#: The functions of ``shenell sample`` over a flat complex array: name ->
+#: f(ctx, z) returning (values, pole_mask) by the pole rules of the scalar
+#: functions (``wp``, ``d_complex``, ``s_squared``, ``c_squared`` and
+#: ``sc_product`` with its default step), each from batch wp passes.
+BATCH_FUNCTIONS = {
+    "d": _d_values,
+    "s2": _s2_values,
+    "c2": _c2_values,
+    "sc": _sc_values,
+    "wp": _wp_values,
+}
 
 
 def cubic_relation_residual(ctx: ShenContext, z) -> float:

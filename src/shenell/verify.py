@@ -13,12 +13,11 @@ import os
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import ConvergenceError, DegenerateError, DomainError, PoleError
-from .field import (ShenContext, c_squared, cubic_relation_residual, d_complex,
+from .field import (c_squared, cached_context, cubic_relation_residual, d_complex,
                     d_ode_residual, pole_order_slope, s_squared, sc_product,
                     substitution_chain_check)
 from .phase import scd_real, u_max
@@ -49,11 +48,6 @@ def _report(name, k, samples, max_residual, tolerance):
     return VerificationReport(identity_name=name, k=k, samples=samples,
                               max_residual=max_residual, tolerance=tolerance,
                               passed=max_residual < tolerance)
-
-
-@lru_cache(maxsize=32)
-def _context(k):
-    return ShenContext.from_modulus(k)
 
 
 def _rng(name, k):
@@ -87,7 +81,7 @@ def _suite_pythagorean(k):
 
 
 def _suite_cubic_relation(k):
-    ctx = _context(k)
+    ctx = cached_context(k)
     rng = _rng("cubic-relation", k)
     zs = _sample_cell(ctx, rng, 40, lambda z: abs(d_complex(ctx, z)) <= 50.0)
     worst = max(cubic_relation_residual(ctx, z) for z in zs)
@@ -95,7 +89,7 @@ def _suite_cubic_relation(k):
 
 
 def _suite_d_ode(k):
-    ctx = _context(k)
+    ctx = cached_context(k)
     rng = _rng("d-ode", k)
     points = [complex(u, 0.0) for u in rng.uniform(0.15, 0.9, 10) * ctx.lat.K]
     points += [complex(rng.uniform(-0.9, 0.9) * ctx.lat.K,
@@ -106,7 +100,7 @@ def _suite_d_ode(k):
 
 
 def _suite_duplication(k):
-    ctx = _context(k)
+    ctx = cached_context(k)
     rng = _rng("duplication", k)
 
     def accept(a):
@@ -121,7 +115,7 @@ def _suite_duplication(k):
 
 
 def _suite_substitution_chain(k):
-    ctx = _context(k)
+    ctx = cached_context(k)
     rng = _rng("substitution-chain", k)
     worst = 0.0
     # real axis: d from the phase map, a path fully independent of wp
@@ -147,7 +141,7 @@ def _suite_factorization(k):
 
 
 def _suite_pole(k):
-    ctx = _context(k)
+    ctx = cached_context(k)
     residual = certify_pole(ctx)
     a = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
     congruence = abs(wp(2.0 * a, ctx.inv, ctx.lat) - wp(a, ctx.inv, ctx.lat))
@@ -155,7 +149,7 @@ def _suite_pole(k):
 
 
 def _suite_periodicity(k):
-    ctx = _context(k)
+    ctx = cached_context(k)
     rng = _rng("periodicity", k)
     shifts = (2.0 * ctx.lat.K, 2.0j * ctx.lat.K_prime)
     functions = (d_complex, s_squared, c_squared)
@@ -186,7 +180,7 @@ def _suite_periodicity(k):
 
 
 def _suite_pole_order(k):
-    ctx = _context(k)
+    ctx = cached_context(k)
     z0 = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
     slope_d = pole_order_slope(lambda z: d_complex(ctx, z), z0)
     slope_s2 = pole_order_slope(lambda z: s_squared(ctx, z), z0)

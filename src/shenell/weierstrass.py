@@ -20,6 +20,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .exceptions import DegenerateError, DomainError, PoleError
 from .phase import _check_modulus
 from .quadrature import QuadratureConfig, integrate
@@ -38,6 +40,10 @@ _N_COEFFS = 48
 _HALF_PERIOD_TOL = 1e-8
 
 _PERIOD_CFG = QuadratureConfig(abs_tol=1e-14, max_refinements=40)
+
+# Points per pass of the batch kernel: its largest work array holds
+# _N_COEFFS - 1 complex powers per point, about 3 MB at this size.
+_BATCH_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,84 @@ def wp_with_prime(z, inv: Invariants, lat: Lattice,
                  -dp + curvature * (12.0 * p * dp * dp - curvature ** 2)
                  / (4.0 * dp ** 3))
     return p, dp
+
+
+def _wp_batch(z, inv: Invariants, lat: Lattice):
+    """(wp, wp', pole_mask) over an array of z, by the algorithm of ``wp_with_prime``.
+
+    Each step of the scalar path runs on the whole array: cell reduction
+    with ``np.round`` (half-even, like ``round``), a per-element halving
+    count from the same ``abs(w) > radius`` test, the Laurent sums as one
+    product with a matrix of powers of w^2, and the duplication steps,
+    each applied to the elements that still have a halving to undo.
+    Products are spelled out (``p * p``, not ``p ** 2``, which numpy
+    evaluates through ``pow``). The Laurent sum runs in another order and
+    numpy may fuse a product with a sum, so results differ from the
+    scalar path by rounding: a few ulps where the duplication chain is
+    well conditioned, and up to about 3e-13 / |wp'(w/2)|^2 relative (w is
+    z reduced to the cell) in the band near iK' where wp' is small, an
+    error the scalar path carries too.
+
+    ``pole_mask`` marks exactly the points where the scalar path raises
+    PoleError (within ``POLE_EXCLUSION`` of a lattice point); wp and wp'
+    are nan there. The input is flattened and processed ``_BATCH_CHUNK``
+    points at a time, so the work arrays keep the same size however large
+    the grid.
+    """
+    z = np.asarray(z, dtype=complex).ravel()
+    p = np.empty_like(z)
+    dp = np.empty_like(z)
+    pole = np.empty(z.shape, dtype=bool)
+    for start in range(0, z.size, _BATCH_CHUNK):
+        part = slice(start, start + _BATCH_CHUNK)
+        p[part], dp[part], pole[part] = _wp_chunk(z[part], inv, lat)
+    return p, dp, pole
+
+
+def _wp_chunk(z, inv, lat):
+    two_k = 2.0 * lat.K
+    two_kp = 2.0 * lat.K_prime
+    w = np.empty_like(z)
+    w.real = z.real - two_k * np.round(z.real / two_k)
+    w.imag = z.imag - two_kp * np.round(z.imag / two_kp)
+    pole = np.abs(w) < POLE_EXCLUSION
+    radius = _SERIES_FRACTION * 2.0 * min(lat.K, lat.K_prime)
+    w[pole] = radius      # any point the series takes without halving
+    halvings = np.zeros(z.shape, dtype=np.int64)
+    todo = np.abs(w) > radius
+    while todo.any():
+        w[todo] *= 0.5
+        halvings += todo
+        todo &= np.abs(w) > radius
+    w2 = w * w
+    weights = _laurent_weights(inv.g2, inv.g3)
+    powers = np.empty((z.size, len(weights)), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = w2[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    tail, dtail = (powers @ weights).T
+    p = 1.0 / w2 + w2 * tail
+    dp = -2.0 / (w2 * w) + w * dtail
+    for step in range(int(halvings.max(initial=0))):
+        sel = halvings > step
+        ps, dps = p[sel], dp[sel]
+        curvature = 6.0 * ps * ps - 0.5 * inv.g2
+        ratio = curvature / (2.0 * dps)
+        p[sel] = ratio * ratio - 2.0 * ps
+        dp[sel] = -dps + (curvature * (12.0 * ps * dps * dps - curvature * curvature)
+                          / (4.0 * (dps * (dps * dps))))
+    p[pole] = np.nan
+    dp[pole] = np.nan
+    return p, dp, pole
+
+
+@lru_cache(maxsize=64)
+def _laurent_weights(g2, g3):
+    # rows n = 2, 3, ...: the coefficient of w^(2n-4) in the tail of
+    # _series_pair and in the tail of its derivative
+    c = _laurent_coefficients(g2, g3)
+    return np.array([[c[n], (2 * n - 2) * c[n]] for n in range(2, len(c))],
+                    dtype=complex)
 
 
 def wp(z, inv: Invariants, lat: Lattice, pole_tol: float = POLE_EXCLUSION) -> complex:

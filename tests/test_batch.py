@@ -1,0 +1,156 @@
+"""The batch wp kernel and the grid sampler against the scalar path.
+
+The scalar functions are the per-point reference. The kernel runs the same
+algorithm with numpy, so the pole flags must agree exactly; values differ
+by rounding, amplified by the duplication chain where wp' is small at the
+halved argument (the band near the half period iK', widest at small k),
+and the comparison tolerances carry that condition number.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shenell import (PoleError, ShenContext, c_squared, d_complex,
+                     reduce_to_cell, s_squared, sc_product, wp_with_prime)
+from shenell.cli import build_sample_grid
+from shenell.weierstrass import _wp_batch
+
+# relative rounding allowed per unit of the duplication condition number;
+# the worst seen over 24 000 random points at k in [0.05, 0.95] is ~3e-13
+_ROUNDING = 1e-12
+_STEP = 1e-6      # the difference step of sc_product
+
+
+def _wp_tolerances(ctx, z):
+    """Allowed |batch - scalar| for wp(z) and wp'(z).
+
+    Each duplication step divides by wp' at the point it doubles, so the
+    chain's condition number is taken as 1 / |wp'(w / 2)|^2, with w the
+    reduced argument.
+    """
+    p, dp = wp_with_prime(z, ctx.inv, ctx.lat)
+    try:
+        _, dp_half = wp_with_prime(reduce_to_cell(z, ctx.lat) / 2.0, ctx.inv, ctx.lat)
+        condition = max(1.0, abs(dp_half) ** -2)
+    except PoleError:
+        condition = 1.0
+    return (_ROUNDING * condition * max(1.0, abs(p)),
+            _ROUNDING * condition * max(1.0, abs(dp)))
+
+
+def _d_tolerance(ctx, z):
+    """Allowed |batch - scalar| for d(z): the wp tolerance times |dd/dwp|."""
+    try:
+        p, _ = wp_with_prime(z, ctx.inv, ctx.lat)
+    except PoleError:
+        return 0.0            # d is exactly 1 at lattice points on both paths
+    tol_wp = _wp_tolerances(ctx, z)[0]
+    return (4.0 / 9.0) * ctx.k ** 2 / abs(p + 1.0 / 3.0) ** 2 * tol_wp
+
+
+def _tolerance(ctx, fn, z, value):
+    slack = _ROUNDING * max(1.0, abs(value))
+    if fn == "wp":
+        return _wp_tolerances(ctx, z)[0] + slack
+    if fn == "d":
+        return _d_tolerance(ctx, z) + slack
+    if fn in ("s2", "c2"):
+        d = d_complex(ctx, z)
+        return 3.0 * abs(d * (2.0 + d)) / (4.0 * ctx.k ** 2) * _d_tolerance(ctx, z) + slack
+    # sc: the central difference of (d + 2)^2 along the direction sc_product takes
+    for direction in (1.0, 1.0j):
+        try:
+            ends = [z + sign * _STEP * direction for sign in (1.0, -1.0)]
+            spread = sum(abs(d_complex(ctx, e) + 2.0) * _d_tolerance(ctx, e) for e in ends)
+        except PoleError:
+            continue
+        return 3.0 / (16.0 * ctx.k ** 2) * spread / _STEP + slack
+    raise AssertionError(f"sc has no difference direction at {z!r}")
+
+
+_SCALAR = {
+    "d": d_complex,
+    "s2": s_squared,
+    "c2": c_squared,
+    "sc": sc_product,
+    "wp": lambda ctx, z: wp_with_prime(z, ctx.inv, ctx.lat)[0],
+}
+
+_OFFSETS = st.one_of(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),   # anywhere in the cell
+    st.sampled_from([(0.0, 0.0),                              # a lattice point
+                     (0.0, 2.0 / 3.0), (0.0, -2.0 / 3.0)]))   # a pole of d
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.floats(0.05, 0.95),
+       points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), _OFFSETS),
+                       min_size=1, max_size=12))
+def test_batch_kernel_matches_scalar_wp(k, points):
+    ctx = ShenContext.from_modulus(k)
+    big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
+    zs = [complex((2 * m + u) * big_k, (2 * n + v) * big_kp) for m, n, (u, v) in points]
+    p, dp, pole = _wp_batch(np.array(zs), ctx.inv, ctx.lat)
+    for i, z in enumerate(zs):
+        try:
+            sp, sdp = wp_with_prime(z, ctx.inv, ctx.lat)
+        except PoleError:
+            assert pole[i], z
+            continue
+        assert not pole[i], z
+        if abs(sp) <= 1e3:
+            tol_p, tol_dp = _wp_tolerances(ctx, z)
+            assert abs(p[i] - sp) <= tol_p, (z, p[i], sp)
+            assert abs(dp[i] - sdp) <= tol_dp, (z, dp[i], sdp)
+
+
+def test_batch_kernel_is_chunk_independent():
+    ctx = ShenContext.from_modulus(0.5)
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-4.0, 4.0, 9000) + 1j * rng.uniform(-6.0, 6.0, 9000)
+    whole = _wp_batch(z, ctx.inv, ctx.lat)
+    pieces = [_wp_batch(part, ctx.inv, ctx.lat) for part in np.split(z, [100, 4200])]
+    for got, parts in zip(whole, zip(*pieces)):
+        assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
+
+
+@pytest.mark.parametrize("k", (0.05, 0.3, 0.7))
+@pytest.mark.parametrize("fn", sorted(_SCALAR))
+def test_sample_grid_matches_scalar_functions(k, fn):
+    """One full period cell, with its lattice points and +-(2/3) iK' on the grid."""
+    ctx = ShenContext.from_modulus(k)
+    re_axis = [i * (2.0 * ctx.lat.K / 24) for i in range(25)]
+    im_axis = [j * (2.0 * ctx.lat.K_prime / 15) for j in range(16)]
+    grid = build_sample_grid(k, fn, re_axis, im_axis)
+    assert len(grid.rows) == len(re_axis) * len(im_axis)
+    flagged = 0
+    for re, im, ref, imf, pole in grid.rows:
+        z = complex(re, im)
+        try:
+            expected = complex(_SCALAR[fn](ctx, z))
+            scalar_pole = not (math.isfinite(expected.real) and math.isfinite(expected.imag))
+        except PoleError:
+            scalar_pole = True
+        assert pole == int(scalar_pole), (fn, z)
+        flagged += pole
+        if not pole:
+            value = complex(ref, imf)
+            assert abs(value - expected) <= _tolerance(ctx, fn, z, expected), (fn, z, value, expected)
+    # the cell corners are lattice points; rows 5 and 10 hold +-(2/3) iK' mod 2iK'
+    assert flagged == {"wp": 4, "d": 4, "s2": 4, "c2": 4, "sc": 0}[fn]
+
+
+def test_sample_sc_falls_back_to_imaginary_difference():
+    # at z = h + (2/3) iK' the real difference touches the pole of d at
+    # z - h, so sc must come from the imaginary direction, as in sc_product
+    ctx = ShenContext.from_modulus(0.5)
+    im = (2.0 / 3.0) * ctx.lat.K_prime
+    grid = build_sample_grid(0.5, "sc", [_STEP], [im])
+    (_, _, ref, imf, pole), = grid.rows
+    expected = sc_product(ctx, complex(_STEP, im))
+    assert pole == 0
+    assert abs(complex(ref, imf) - expected) <= _tolerance(ctx, "sc", complex(_STEP, im), expected)

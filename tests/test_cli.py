@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -5,9 +7,10 @@ import sys
 import pytest
 
 from shenell import scd_real
-from shenell.cli import (UsageError, parse_grid, reports_from_json,
-                         reports_to_json, rows_to_csv, sample_grid_from_json,
-                         sample_grid_rows_from_csv, sample_grid_to_json)
+from shenell.cli import (MAX_GRID_POINTS, UsageError, main, parse_grid,
+                         reports_from_json, reports_to_json, rows_to_csv,
+                         sample_grid_from_json, sample_grid_rows_from_csv,
+                         sample_grid_to_json)
 
 
 def run_cli(*args, env=None):
@@ -209,3 +212,72 @@ def test_parse_grid_unit():
         parse_grid("0:1")
     with pytest.raises(UsageError):
         parse_grid("0:0:1")
+
+
+# ------------------------------------------------------------ input validation
+
+def test_eval_nan_coordinate_exit_2():
+    result = run_cli("eval", "--k", "0.5", "--fn", "d", "--real", "nan")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+def test_sample_infinite_coordinate_exit_2():
+    result = run_cli("sample", "--k", "0.5", "--fn", "d", "--real=inf")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+def test_parse_grid_rejects_non_finite():
+    for spec in ("nan", "inf", "-inf", "0:nan:1", "0:0.1:inf", "-inf:1:0"):
+        with pytest.raises(UsageError):
+            parse_grid(spec)
+
+
+def test_parse_grid_caps_points_before_building():
+    # 1e300 points, and one point over the cap: both refused from the
+    # count alone, without building the list
+    for spec in ("0:1e-300:1", f"0:1:{MAX_GRID_POINTS}", "-1e308:1e-300:1e308"):
+        with pytest.raises(UsageError, match="more than"):
+            parse_grid(spec)
+
+
+def test_sample_caps_grid_points():
+    side = int(MAX_GRID_POINTS ** 0.5) + 1
+    code = main(["sample", "--k", "0.5", "--fn", "d",
+                 "--real", f"0:1:{side - 1}", "--imag", f"0:1:{side - 1}"])
+    assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_verify_rejects_bad_tolerance(tol):
+    assert main(["verify", "--k", "0.5", "--suite", "factorization", f"--tol={tol}"]) == 2
+
+
+# ------------------------------------------------------------------ CSV writer
+
+def _csv_module_reference(rows):
+    # the csv.writer formulation of sample_grid_to_csv
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["re_z", "im_z", "re_f", "im_f", "is_pole"])
+    for re, im, ref, imf, pole in rows:
+        if pole:
+            writer.writerow([repr(float(re)), repr(float(im)), "", "", "1"])
+        else:
+            writer.writerow([repr(float(re)), repr(float(im)),
+                             repr(float(ref)), repr(float(imf)), "0"])
+    return out.getvalue()
+
+
+def test_csv_writer_matches_csv_module():
+    rows = [
+        (0.0, 0.0, None, None, 1),
+        (-0.0, 5e-324, 1e308, -1e308, 0),
+        (0.1, -0.0, -0.0, 5e-324, 0),
+        (1, 2, 3, 4, 0),
+        (1e-300, 1.7976931348623157e308, -5e-324, 0.30000000000000004, 0),
+        (2.5, 1.25, None, None, 1),
+    ]
+    assert rows_to_csv(rows) == _csv_module_reference(rows)
+    assert rows_to_csv([]) == _csv_module_reference([])
