@@ -31,7 +31,7 @@ import numpy as np
 from .exceptions import ShenError
 from .field import BATCH_FUNCTIONS, cached_context
 from .verify import VerificationReport, available_suites, run_suites
-from .weierstrass import invariants_of_modulus, lattice_of_invariants
+from .weierstrass import invariants_of_modulus
 
 #: Most points a grid spec, or a whole ``sample`` grid, may hold.
 MAX_GRID_POINTS = 1_000_000
@@ -257,7 +257,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_periods(args) -> int:
     k = _single_k(args)
-    lat = lattice_of_invariants(invariants_of_modulus(k))
+    lat = cached_context(k).lat
     fields = {"K": lat.K, "K_prime": lat.K_prime,
               "e1": lat.e1, "e2": lat.e2, "e3": lat.e3}
     if args.json:
@@ -368,10 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShenError as exc:
+    except (UsageError, ShenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,9 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateError, DomainError, PoleError
-from .phase import Modulus
-from .weierstrass import (Invariants, Lattice, _wp_batch, invariants_of_modulus,
-                          lattice_of_invariants, wp)
+from .weierstrass import (Invariants, Lattice, Modulus, _wp_batch,
+                          invariants_of_modulus, lattice_of_invariants, wp)
 
 #: |wp + 1/3| below this counts as a pole of d.
 D_POLE_TOL = 1e-10

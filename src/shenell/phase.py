@@ -7,30 +7,24 @@ k^2 sin^2 theta) on [0, phi], which is also du/dphi. The map inverts on
 [-pi/2, pi/2], and
 
     s(u) = sin(phi(u)),  c(u) = cos(phi(u)),  d(u) = phi'(u).
+
+The inverse needs no second engine: the real branch is the complex field
+of :mod:`shenell.field` restricted to the real axis, so the principal
+branch ends at u_max = K, the real half-period, and phi(u) is read off
+wp(u). The integral u(phi) stays as the one wp-free path, the witness
+the certification suites check the wp route against.
 """
 
 import math
 from typing import NamedTuple
 
-from .exceptions import ConvergenceError, DomainError, RangeError
+from .exceptions import DomainError, RangeError
+from .field import cached_context
 from .hypergeometric import f_series
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
+from .weierstrass import POLE_EXCLUSION, Modulus, _check_modulus, wp_with_prime
 
-#: The modulus k is an ordinary float constrained to the open interval (0, 1).
-Modulus = float
-
-_DEFAULT_CFG = QuadratureConfig()
 _HALF_PI = math.pi / 2.0
-
-_RK4_STEPS = 32
-_NEWTON_RESIDUAL = 1e-13
-_NEWTON_MAX_ITER = 16
-_RANGE_SLACK = 1e-12
-
-
-def _check_modulus(k: float) -> None:
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"modulus out of range (0, 1): k={k!r}")
 
 
 def phase_speed(k: Modulus, phi: float) -> float:
@@ -39,7 +33,7 @@ def phase_speed(k: Modulus, phi: float) -> float:
     return f_series(k * k * s * s)
 
 
-def u_of_phi(k: Modulus, phi: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
+def u_of_phi(k: Modulus, phi: float) -> float:
     """The phase integral u(phi) on the principal branch |phi| <= pi/2.
 
     Odd and strictly increasing in ``phi``; u(0) = 0. The integrand is
@@ -47,54 +41,43 @@ def u_of_phi(k: Modulus, phi: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> fl
     restored afterwards, making oddness exact in floating point.
     """
     _check_modulus(k)
-    if abs(phi) > _HALF_PI:
+    if not abs(phi) <= _HALF_PI:  # also rejects nan
         raise DomainError(f"phi={phi!r} outside the principal branch [-pi/2, pi/2]")
     if phi == 0.0:
         return 0.0
-    value = integrate(lambda theta: phase_speed(k, theta), 0.0, abs(phi), cfg)
+    value = integrate(lambda theta: phase_speed(k, theta), 0.0, abs(phi))
     return math.copysign(value, phi)
 
 
-def u_max(k: Modulus, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
-    """Largest u reachable on the principal branch: u_of_phi(k, pi/2)."""
-    return u_of_phi(k, _HALF_PI, cfg)
+def u_max(k: Modulus) -> float:
+    """Largest u reachable on the principal branch: u(pi/2), the half-period K."""
+    return cached_context(k).lat.K
 
 
-def phi_of_u(k: Modulus, u: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
+def phi_of_u(k: Modulus, u: float) -> float:
     """Invert the phase map: the phi in [-pi/2, pi/2] with u_of_phi(k, phi) = u.
 
-    A fixed-step RK4 march on dphi/du = 1 / F(1/3, 2/3; 1/2; k^2 sin^2 phi)
-    supplies the initial guess; Newton iterations on u_of_phi(phi) - u,
-    with the analytic derivative, polish it to a residual below 1e-13
-    (the derivative is >= 1, so phi carries at least that accuracy).
+    s = sin(phi) and c = cos(phi) are read off the complex field at z = |u|.
+    With q = wp(u) + 1/3, d = 1 - (4/9) k^2 / q gives s = (2 + d) / (3 sqrt(q)),
+    and s' = c d gives c = -wp'(u) / (2 q^(3/2)), so
 
-    Raises RangeError when |u| exceeds u_max(k).
+        phi = atan2(2 wp(u) + 2/3 - (8/27) k^2, -wp'(u)).
+
+    c comes from wp', not from 1 - s^2, which cancels as s -> 1, so phi
+    keeps the absolute accuracy of wp' up to u = K, where wp' = 0 and
+    phi = pi/2. Below POLE_EXCLUSION, where wp refuses to evaluate,
+    phi = u, since the next term (4/27) k^2 u^3 is below an ulp.
+
+    Raises RangeError when |u| exceeds u_max(k) = K, or is nan.
     """
-    _check_modulus(k)
-    if u == 0.0:
-        return 0.0
-    top = u_max(k, cfg)
-    if abs(u) > top + _RANGE_SLACK:
-        raise RangeError(f"u={u!r} outside the invertible range [-{top}, {top}]")
-    target = min(abs(u), top)
-
-    phi = 0.0
-    h = target / _RK4_STEPS
-    for _ in range(_RK4_STEPS):
-        s1 = 1.0 / phase_speed(k, phi)
-        s2 = 1.0 / phase_speed(k, min(phi + 0.5 * h * s1, _HALF_PI))
-        s3 = 1.0 / phase_speed(k, min(phi + 0.5 * h * s2, _HALF_PI))
-        s4 = 1.0 / phase_speed(k, min(phi + h * s3, _HALF_PI))
-        phi = min(phi + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4), _HALF_PI)
-
-    for _ in range(_NEWTON_MAX_ITER):
-        residual = u_of_phi(k, phi, cfg) - target
-        if abs(residual) < _NEWTON_RESIDUAL:
-            break
-        phi -= residual / phase_speed(k, phi)
-        phi = min(max(phi, 0.0), _HALF_PI)
-    else:
-        raise ConvergenceError(f"inversion stalled at k={k!r}, u={u!r}")
+    ctx = cached_context(k)
+    if not abs(u) <= ctx.lat.K:  # also rejects nan
+        raise RangeError(f"u={u!r} outside the invertible range "
+                         f"[-{ctx.lat.K}, {ctx.lat.K}]")
+    if abs(u) < POLE_EXCLUSION:
+        return u
+    p, dp = wp_with_prime(abs(u), ctx.inv, ctx.lat)
+    phi = math.atan2(2.0 * p.real + 2.0 / 3.0 - (8.0 / 27.0) * k * k, -dp.real)
     return math.copysign(phi, u)
 
 
@@ -104,21 +87,20 @@ class ScdTriple(NamedTuple):
     d: float
 
 
-def scd_real(k: Modulus, u: float, cfg: QuadratureConfig = _DEFAULT_CFG) -> ScdTriple:
+def scd_real(k: Modulus, u: float) -> ScdTriple:
     """The triple (s, c, d) = (sin phi(u), cos phi(u), phi'(u)) at real u.
 
     d comes from the reciprocal of the phase speed, so d is in (0, 1]
     and s^2 + c^2 = 1 holds to machine precision by construction.
     """
-    phi = phi_of_u(k, u, cfg)
+    phi = phi_of_u(k, u)
     s = math.sin(phi)
     c = math.cos(phi)
     d = 1.0 / f_series(k * k * s * s)
     return ScdTriple(s, c, d)
 
 
-def derivative_residuals(k: Modulus, u: float, h: float = 1e-5,
-                         cfg: QuadratureConfig = _DEFAULT_CFG):
+def derivative_residuals(k: Modulus, u: float, h: float = 1e-5):
     """Central-difference deviations from s' = c d, c' = -s d and
     d' = -(8/3) k^2 s c / (2 + d).
 
@@ -126,9 +108,9 @@ def derivative_residuals(k: Modulus, u: float, h: float = 1e-5,
     """
     if h <= 0.0:
         raise DomainError("step h must be positive")
-    sp, cp, dp = scd_real(k, u + h, cfg)
-    sm, cm, dm = scd_real(k, u - h, cfg)
-    s, c, d = scd_real(k, u, cfg)
+    sp, cp, dp = scd_real(k, u + h)
+    sm, cm, dm = scd_real(k, u - h)
+    s, c, d = scd_real(k, u)
     rs = abs((sp - sm) / (2.0 * h) - c * d)
     rc = abs((cp - cm) / (2.0 * h) + s * d)
     rd = abs((dp - dm) / (2.0 * h) + (8.0 / 3.0) * k * k * s * c / (2.0 + d))

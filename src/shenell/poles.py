@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 from .exceptions import ClassificationError, DomainError
 from .field import ShenContext
-from .phase import Modulus, _check_modulus
-from .weierstrass import Invariants, exact_invariants, wp
+from .weierstrass import Invariants, Modulus, _check_modulus, exact_invariants, wp
 
 
 class RationalPoly:

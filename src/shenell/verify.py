@@ -20,7 +20,7 @@ from .exceptions import ConvergenceError, DegenerateError, DomainError, PoleErro
 from .field import (c_squared, cached_context, cubic_relation_residual, d_complex,
                     d_ode_residual, pole_order_slope, s_squared, sc_product,
                     substitution_chain_check)
-from .phase import scd_real, u_max
+from .phase import phase_speed, phi_of_u, scd_real, u_max, u_of_phi
 from .poles import certify_pole, factorization_check
 from .weierstrass import duplication_check, wp, wp_with_prime
 
@@ -118,11 +118,14 @@ def _suite_substitution_chain(k):
     ctx = cached_context(k)
     rng = _rng("substitution-chain", k)
     worst = 0.0
-    # real axis: d from the phase map, a path fully independent of wp
-    for u in np.linspace(0.15, 0.9, 10) * u_max(k):
-        d = scd_real(k, u).d
+    # real axis: u and d from the defining integral and its integrand at
+    # phi, a path fully independent of wp, against wp(u) and its inverse
+    for phi in (phi_of_u(k, u) for u in np.linspace(0.15, 0.9, 10) * ctx.lat.K):
+        u = u_of_phi(k, phi)
+        d = 1.0 / phase_speed(k, phi)
         p = (4.0 / 9.0) * k * k / (1.0 - d) - 1.0 / 3.0
-        worst = max(worst, abs(p - wp(u, ctx.inv, ctx.lat)))
+        worst = max(worst, abs(p - wp(u, ctx.inv, ctx.lat)),
+                    abs(phi_of_u(k, u) - phi))
     # complex plane: the rational-wp continuation against wp itself
     zs = _sample_cell(ctx, rng, 10,
                       lambda z: 1e-6 < abs(1.0 - d_complex(ctx, z))

@@ -8,23 +8,26 @@ are real with discriminant g2^3 - 27 g3^2 = (4096/19683) k^6 (1 - k^2) > 0,
 so the cubic 4 t^3 - g2 t - g3 has three real roots e1 > e2 > e3 and the
 period lattice is rectangular, generated by 2K and 2iK'.
 
-The evaluator is self-contained: arguments are reduced into the cell
+The lattice is closed form: the root differences from the trigonometric
+solution of the cubic, and K, K' from the arithmetic-geometric mean, with
+no quadrature and no root polishing. The evaluator of wp itself uses no
+theta functions and no AGM: arguments are reduced into the cell
 [-K, K] x [-K', K'], halved until the Laurent series about 0 converges
-fast, then pushed back out with the duplication formula. No theta
-functions, no AGM.
+fast, then pushed back out with the duplication formula.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import DegenerateError, DomainError, PoleError
-from .phase import _check_modulus
-from .quadrature import QuadratureConfig, integrate
+
+#: The modulus k is an ordinary float constrained to the open interval (0, 1).
+Modulus = float
 
 #: Default radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
@@ -38,8 +41,6 @@ _N_COEFFS = 48
 # wp' smaller than this marks a half-period, where the duplication
 # formula degenerates.
 _HALF_PERIOD_TOL = 1e-8
-
-_PERIOD_CFG = QuadratureConfig(abs_tol=1e-14, max_refinements=40)
 
 # Points per pass of the batch kernel: its largest work array holds
 # _N_COEFFS - 1 complex powers per point, about 3 MB at this size.
@@ -70,6 +71,11 @@ class Lattice:
     e3: float
 
 
+def _check_modulus(k: float) -> None:
+    if not 0.0 < k < 1.0:
+        raise DomainError(f"modulus out of range (0, 1): k={k!r}")
+
+
 def exact_invariants(k2):
     """g2, g3, delta as exact rationals in the squared modulus ``k2``."""
     k2 = Fraction(k2)
@@ -81,7 +87,7 @@ def exact_invariants(k2):
     return g2, g3, delta
 
 
-def invariants_of_modulus(k: float) -> Invariants:
+def invariants_of_modulus(k: Modulus) -> Invariants:
     """Invariants for modulus k, correctly rounded.
 
     The fields are computed in exact rational arithmetic from the binary
@@ -93,68 +99,47 @@ def invariants_of_modulus(k: float) -> Invariants:
     return Invariants(g2=float(g2), g3=float(g3), delta=float(delta))
 
 
-def _cubic_root_seeds(g2, g3):
-    # Trigonometric solution of 4 t^3 - g2 t - g3 = 0; three real roots
-    # are guaranteed by delta > 0. Depressed form t^3 + p t + q.
-    p = -g2 / 4.0
-    q = -g3 / 4.0
-    scale = 2.0 * math.sqrt(-p / 3.0)
-    cosarg = min(1.0, max(-1.0, 3.0 * q / (p * scale)))
-    theta = math.acos(cosarg)
-    roots = [scale * math.cos((theta - 2.0 * math.pi * j) / 3.0) for j in range(3)]
-    return sorted(roots, reverse=True)
+def _agm(a, b):
+    # quadratic convergence; once a and b are within rounding of each
+    # other, one more step leaves them at most an ulp apart
+    while abs(a - b) > 4e-16 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return a
 
 
-def _refined_roots(g2, g3):
-    """Roots and their pairwise differences, Newton-polished in 50-digit Decimal.
-
-    Near-degenerate lattices (k close to 0 or 1) have two almost equal
-    roots; differences formed from double-precision roots would lose half
-    their digits, which the period integrals cannot afford.
-    """
-    seeds = _cubic_root_seeds(g2, g3)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        dg2 = Decimal(g2)
-        dg3 = Decimal(g3)
-        roots = []
-        for seed in seeds:
-            t = Decimal(seed)
-            for _ in range(6):
-                value = 4 * t * t * t - dg2 * t - dg3
-                slope = 12 * t * t - dg2
-                t -= value / slope
-            roots.append(t)
-        e1, e2, e3 = roots
-        diffs = (float(e1 - e2), float(e1 - e3), float(e2 - e3))
-    return (float(e1), float(e2), float(e3)), diffs
-
-
-def lattice_of_invariants(inv: Invariants, cfg: QuadratureConfig = _PERIOD_CFG) -> Lattice:
-    """Half-periods and cubic roots; requires delta > 0.
+def lattice_of_invariants(inv: Invariants) -> Lattice:
+    """Half-periods and cubic roots in closed form; requires delta > 0.
 
     K is the integral of dt / sqrt(4 t^3 - g2 t - g3) over [e1, inf),
     K' the integral of dt / sqrt(-(4 t^3 - g2 t - g3)) over (-inf, e3].
-    The substitution t = e1 + tan^2(psi) (resp. t = e3 - tan^2(psi)) maps
-    either one onto [0, pi/2] with the smooth integrand
+    The root differences come from the trigonometric solution of the
+    cubic (DLMF 1.11(iii)) with the angle taken from the discriminant:
 
-        1 / sqrt((sin^2 + a cos^2)(sin^2 + b cos^2))
+        x = atan2(sqrt(delta), 3 sqrt(3) g3) / 3,  y = pi/3 - x,
+        e1 - e2 = sqrt(g2) sin y,  e1 - e3 = sqrt(g2) sin(pi/3 + x),
+        e2 - e3 = sqrt(g2) sin x,
 
-    where (a, b) = (e1-e2, e1-e3) for K and (e1-e3, e2-e3) for K'.
+    where y is computed as atan2(sqrt(delta), -3 sqrt(3) g3) / 3, so no
+    difference of nearly equal numbers occurs as k -> 0 or k -> 1. The
+    half-periods are complete elliptic integrals of the first kind by the
+    arithmetic-geometric mean (DLMF 19.8(i)):
+
+        K = pi / (2 AGM(sqrt(e1 - e2), sqrt(e1 - e3))),
+        K' = pi / (2 AGM(sqrt(e1 - e3), sqrt(e2 - e3))).
     """
     if not inv.delta > 0.0:
         raise DomainError(f"lattice requires positive discriminant, got {inv.delta!r}")
-    (e1, e2, e3), (d12, d13, d23) = _refined_roots(inv.g2, inv.g3)
-
-    def half_period(a, b):
-        def integrand(psi):
-            s2 = math.sin(psi) ** 2
-            c2 = 1.0 - s2
-            return 1.0 / math.sqrt((s2 + a * c2) * (s2 + b * c2))
-        return integrate(integrand, 0.0, math.pi / 2.0, cfg)
-
-    return Lattice(K=half_period(d12, d13), K_prime=half_period(d13, d23),
-                   e1=e1, e2=e2, e3=e3)
+    root_delta = math.sqrt(inv.delta)
+    g3_term = 3.0 * math.sqrt(3.0) * inv.g3
+    x = math.atan2(root_delta, g3_term) / 3.0
+    y = math.atan2(root_delta, -g3_term) / 3.0
+    scale = math.sqrt(inv.g2)
+    d12 = scale * math.sin(y)
+    d13 = scale * math.sin(math.pi / 3.0 + x)
+    d23 = scale * math.sin(x)
+    return Lattice(K=math.pi / (2.0 * _agm(math.sqrt(d13), math.sqrt(d12))),
+                   K_prime=math.pi / (2.0 * _agm(math.sqrt(d13), math.sqrt(d23))),
+                   e1=(d12 + d13) / 3.0, e2=(d23 - d12) / 3.0, e3=-(d13 + d23) / 3.0)
 
 
 @lru_cache(maxsize=64)
@@ -180,8 +165,13 @@ def _series_pair(z, coeffs):
 
 
 def reduce_to_cell(z, lat: Lattice) -> complex:
-    """Translate z by lattice vectors into the cell [-K, K] x [-K', K']."""
+    """Translate z by lattice vectors into the cell [-K, K] x [-K', K'].
+
+    Raises DomainError for a non-finite z, which has no place in the cell.
+    """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z={z!r} is not finite")
     two_k = 2.0 * lat.K
     two_kp = 2.0 * lat.K_prime
     return complex(z.real - two_k * round(z.real / two_k),

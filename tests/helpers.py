@@ -4,16 +4,18 @@ Everything here deliberately avoids the package's own evaluation paths:
 hypergeometric values come from scipy's hyp2f1, integrals from scipy's
 QUADPACK or mpmath's tanh-sinh rule, wp values from the classical
 Jacobi-sn representation in mpmath, and periods from Carlson symmetric
-integrals. The package must agree with these, not the other way around.
+integrals over the roots of the exact rational invariants. The package
+must agree with these, not the other way around.
 """
 
 import math
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 from scipy import integrate as scipy_integrate
-from scipy.special import elliprf, hyp2f1
+from scipy.special import hyp2f1
 
 mp.mp.dps = 30
 
@@ -48,23 +50,40 @@ def u_oracle_t_form(k, phi):
     return value
 
 
-@lru_cache(maxsize=16)
-def mp_roots(g2, g3):
-    """Roots of 4 t^3 - g2 t - g3 at 30 digits, descending."""
-    roots = mp.polyroots([4, 0, -g2, -g3], maxsteps=100, extraprec=60)
-    return tuple(sorted((mp.re(r) for r in roots), reverse=True))
+@lru_cache(maxsize=256)
+def exact_cubic(k):
+    """(g2, g3) and the roots of 4 t^3 - g2 t - g3, descending, for modulus k.
+
+    The invariants are the exact rationals of the binary value of ``k``
+    and the roots are found at 60 digits, so root differences of order
+    k^3 (k -> 0) or sqrt(1 - k) (k -> 1) keep far more than double
+    precision, unlike roots of the float-rounded g2 and g3.
+    """
+    k2 = Fraction(k) ** 2
+    g2 = Fraction(4, 27) * (9 - 8 * k2)
+    g3 = Fraction(8, 729) * (8 * k2 * k2 - 36 * k2 + 27)
+    with mp.workdps(60):
+        g2, g3 = (mp.mpf(x.numerator) / x.denominator for x in (g2, g3))
+        roots = mp.polyroots([4, 0, -g2, -g3], maxsteps=200, extraprec=200)
+        return (g2, g3), tuple(sorted((mp.re(r) for r in roots), reverse=True))
 
 
-def periods_carlson(g2, g3):
-    """(K, K') from Carlson R_F on the root differences."""
-    e1, e2, e3 = (float(r) for r in mp_roots(g2, g3))
-    return (float(elliprf(0.0, e1 - e2, e1 - e3)),
-            float(elliprf(0.0, e1 - e3, e2 - e3)))
+def mp_roots(k):
+    """Roots of 4 t^3 - g2 t - g3 at 60 digits, descending."""
+    return exact_cubic(k)[1]
 
 
-def periods_raw_quadrature(g2, g3):
+def periods_carlson(k):
+    """(K, K') from Carlson R_F on the exact-rational root differences."""
+    e1, e2, e3 = mp_roots(k)
+    with mp.workdps(60):
+        return (float(mp.elliprf(0, e1 - e2, e1 - e3)),
+                float(mp.elliprf(0, e1 - e3, e2 - e3)))
+
+
+def periods_raw_quadrature(k):
     """(K, K') by tanh-sinh quadrature of the raw period integrals."""
-    e1, e2, e3 = mp_roots(g2, g3)
+    (g2, g3), (e1, e2, e3) = exact_cubic(k)
     # near the endpoint roots the cubic can round slightly negative; the
     # integrals are real, so keep the real part
     big_k = mp.quad(lambda t: mp.re(1 / mp.sqrt(mp.mpc(4 * t ** 3 - g2 * t - g3))),
@@ -74,9 +93,9 @@ def periods_raw_quadrature(g2, g3):
     return float(mp.re(big_k)), float(mp.re(big_kp))
 
 
-def wp_oracle_factory(g2, g3):
+def wp_oracle_factory(k):
     """wp via the Jacobi representation e3 + (e1 - e3) / sn^2(z sqrt(e1 - e3))."""
-    e1, e2, e3 = mp_roots(g2, g3)
+    e1, e2, e3 = mp_roots(k)
     m = (e2 - e3) / (e1 - e3)
     scale = mp.sqrt(e1 - e3)
 
@@ -85,3 +104,21 @@ def wp_oracle_factory(g2, g3):
         return complex(e3 + (e1 - e3) / sn ** 2)
 
     return oracle
+
+
+def phi_oracle(k, u):
+    """The phi with u(phi) = u, by bracketed root finding on the defining integral.
+
+    The integral is mpmath's tanh-sinh rule at 30 digits over the closed
+    form F(1/3, 2/3; 1/2; sin^2 z) = cos(z/3) / cos(z), z = asin(k sin(theta)),
+    and the root is bracketed by [0, pi/2].
+    """
+    k = mp.mpf(k)
+
+    def speed(theta):
+        z = mp.asin(k * mp.sin(theta))
+        return mp.cos(z / 3) / mp.cos(z)
+
+    phi = mp.findroot(lambda phi: mp.quad(speed, [0, phi]) - abs(u),
+                      (mp.mpf(0), mp.pi / 2), solver="anderson")
+    return phi if u >= 0 else -phi

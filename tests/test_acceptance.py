@@ -13,8 +13,8 @@ import numpy as np
 from shenell import (ShenContext, certify_pole, cubic_discriminant, d_complex,
                      d_ode_residual, duplication_check, exact_invariants,
                      f_series, factorization_check, invariants_of_modulus,
-                     pole_order_slope, s_squared, sc_product, scd_real,
-                     u_max, wp)
+                     phase_speed, phi_of_u, pole_order_slope, s_squared,
+                     sc_product, scd_real, u_max, u_of_phi, wp)
 from shenell.cli import (reports_from_json, reports_to_json, rows_to_csv,
                          sample_grid_rows_from_csv)
 
@@ -73,11 +73,15 @@ def test_criterion_03_d_wp_two_path():
         top = u_max(k)
         us = np.concatenate([np.linspace(0.08, 0.92, 10),
                              -np.linspace(0.08, 0.92, 10)]) * top
-        for u in us:
-            d = scd_real(k, float(u)).d  # phase-map route, independent of wp
+        for phi in (phi_of_u(k, float(u)) for u in us):
+            # forward from phi along the phase map, independent of wp
+            u = u_of_phi(k, phi)
+            d = 1.0 / phase_speed(k, phi)
             p = (4.0 / 9.0) * k * k / (1.0 - d) - 1.0 / 3.0
-            worst = max(worst, abs(p - wp(float(u), ctx.inv, ctx.lat)))
-    check(3, "d-to-wp two-path agreement", worst < 1e-8, f"max |p - wp| {worst:.3e}")
+            worst = max(worst, abs(p - wp(u, ctx.inv, ctx.lat)),
+                        abs(phi_of_u(k, u) - phi))
+    check(3, "d-to-wp two-path agreement", worst < 1e-8,
+          f"max |p - wp|, |phi(u(phi)) - phi| {worst:.3e}")
 
 
 def test_criterion_04_pole_location():

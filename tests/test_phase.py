@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from shenell import (DomainError, RangeError, derivative_residuals, phi_of_u,
                      scd_real, u_max, u_of_phi)
-from helpers import u_oracle, u_oracle_t_form
+from helpers import phi_oracle, u_oracle, u_oracle_t_form
 
 # frozen from two independent scipy quadratures of the defining integral
 # (theta form and original t form agree to 1e-15)
@@ -73,6 +74,13 @@ def test_inversion_fixes_zero():
 @pytest.mark.parametrize("phi", [0.1, 0.5, 1.0])
 def test_round_trip(k, phi):
     assert phi_of_u(k, u_of_phi(k, phi)) == pytest.approx(phi, abs=1e-11)
+
+
+def test_inversion_is_identity_below_pole_exclusion():
+    # phi(u) = u - (4/27) k^2 u^3 + ..., and the cubic term is below an ulp
+    for k in (0.3, 0.99):
+        assert phi_of_u(k, 1e-12) == 1e-12
+        assert phi_of_u(k, -1e-12) == -1e-12
 
 
 def test_inverse_derivative_at_origin():
@@ -147,3 +155,19 @@ def test_real_ode_residual():
         lhs = ((dp - dm) / (2.0 * h)) ** 2
         rhs = (4.0 / 9.0) * (1.0 - d) * (d ** 3 + 3.0 * d ** 2 + 4.0 * k * k - 4.0)
         assert abs(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("one_minus_k", [1e-6, 1.4e-5, 2e-4, 3e-3])
+def test_scd_near_k_one_against_mpmath(one_minus_k):
+    # near k = 1 the phase speed peaks sharply at phi = pi/2 and e1, e2
+    # nearly collide
+    k = 1.0 - one_minus_k
+    for u in np.array([-0.98, 0.5, 0.9]) * u_max(k):
+        u = float(u)
+        s, c, d = scd_real(k, u)
+        phi = phi_oracle(k, u)
+        z = mp.asin(k * mp.sin(phi))
+        tol = 1e-13 * max(1.0, abs(u))
+        assert abs(s - mp.sin(phi)) <= tol
+        assert abs(c - mp.cos(phi)) <= tol
+        assert abs(d - mp.cos(z) / mp.cos(z / 3)) <= tol

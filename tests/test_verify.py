@@ -18,6 +18,13 @@ def test_pole_suite_at_stated_tolerance():
     assert report.passed
 
 
+@pytest.mark.parametrize("k", [0.005, 0.01, 0.02, 0.03])
+def test_pole_suite_at_small_modulus(k):
+    # the root differences shrink like k^3, below the rounding of g2 and g3
+    report = run_suite("pole", k)
+    assert report.passed, report
+
+
 def test_explicit_tolerance_can_fail():
     report = run_suite("pole", 0.5, tol=1e-30)
     assert not report.passed

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shenell import (DegenerateError, DomainError, Invariants, PoleError,
                      duplication_check, exact_invariants, invariants_of_modulus,
-                     lattice_of_invariants, reduce_to_cell, wp, wp_prime,
-                     wp_with_prime)
+                     lattice_of_invariants, phi_of_u, reduce_to_cell, scd_real,
+                     u_of_phi, wp, wp_prime, wp_with_prime)
 from helpers import periods_carlson, periods_raw_quadrature, wp_oracle_factory
 
 K_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -72,18 +74,32 @@ def test_lattice_rejects_nonpositive_discriminant():
 
 @pytest.mark.parametrize("k", K_GRID)
 def test_periods_against_carlson(k):
-    inv = invariants_of_modulus(k)
-    lat = lattice_of_invariants(inv)
-    big_k, big_kp = periods_carlson(inv.g2, inv.g3)
-    assert lat.K == pytest.approx(big_k, abs=1e-12)
-    assert lat.K_prime == pytest.approx(big_kp, abs=1e-12)
+    lat = lattice_of_invariants(invariants_of_modulus(k))
+    big_k, big_kp = periods_carlson(k)
+    assert lat.K == pytest.approx(big_k, abs=1e-14)
+    assert lat.K_prime == pytest.approx(big_kp, abs=1e-14)
+
+
+# log-spaced in k over [1e-6, 0.5] and in 1 - k over [1e-9, 0.5], where the
+# root differences shrink like k^3 and sqrt(1 - k)
+WHOLE_INTERVAL = st.one_of(
+    st.floats(math.log(1e-6), math.log(0.5)).map(math.exp),
+    st.floats(math.log(1e-9), math.log(0.5)).map(lambda x: 1.0 - math.exp(x)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(WHOLE_INTERVAL)
+def test_periods_whole_interval(k):
+    lat = lattice_of_invariants(invariants_of_modulus(k))
+    big_k, big_kp = periods_carlson(k)
+    assert abs(lat.K - big_k) <= 1e-14 * big_k
+    assert abs(lat.K_prime - big_kp) <= 1e-14 * big_kp
 
 
 def test_periods_against_raw_quadrature():
     for k in (0.3, 0.5, 0.8):
-        inv = invariants_of_modulus(k)
-        lat = lattice_of_invariants(inv)
-        big_k, big_kp = periods_raw_quadrature(inv.g2, inv.g3)
+        lat = lattice_of_invariants(invariants_of_modulus(k))
+        big_k, big_kp = periods_raw_quadrature(k)
         assert lat.K == pytest.approx(big_k, abs=1e-10)
         assert lat.K_prime == pytest.approx(big_kp, abs=1e-10)
 
@@ -111,7 +127,7 @@ def test_laurent_leading_term(context_for):
 @pytest.mark.parametrize("k", K_GRID)
 def test_wp_against_jacobi_oracle(k, context_for):
     ctx = context_for(k)
-    oracle = wp_oracle_factory(ctx.inv.g2, ctx.inv.g3)
+    oracle = wp_oracle_factory(k)
     rng = np.random.default_rng(19 + int(100 * k))
     for _ in range(25):
         z = complex(rng.uniform(-ctx.lat.K, ctx.lat.K),
@@ -217,3 +233,21 @@ def test_reduce_to_cell(context_for):
     z = 0.3 + 0.4j
     assert reduce_to_cell(z + 2 * lat.K, lat) == pytest.approx(z, abs=1e-15)
     assert reduce_to_cell(z + 4j * lat.K_prime, lat) == pytest.approx(z, abs=1e-14)
+
+
+ENTRY_POINTS = {
+    "wp": lambda ctx, x: wp(x, ctx.inv, ctx.lat),
+    "wp_imag": lambda ctx, x: wp(complex(0.3, x), ctx.inv, ctx.lat),
+    "wp_prime": lambda ctx, x: wp_prime(x, ctx.inv, ctx.lat),
+    "wp_with_prime": lambda ctx, x: wp_with_prime(x, ctx.inv, ctx.lat),
+    "phi_of_u": lambda ctx, x: phi_of_u(ctx.k, x),
+    "scd_real": lambda ctx, x: scd_real(ctx.k, x),
+    "u_of_phi": lambda ctx, x: u_of_phi(ctx.k, x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_argument_is_a_domain_error(entry, value, context_for):
+    with pytest.raises(DomainError):
+        ENTRY_POINTS[entry](context_for(0.5), value)
