@@ -71,13 +71,38 @@ def d_complex(ctx: ShenContext, z) -> complex:
 
 def s_squared(ctx: ShenContext, z) -> complex:
     """s^2 via the (s, d) relation: (1 - d)(2 + d)^2 / (4 k^2)."""
-    d = d_complex(ctx, z)
-    return (1.0 - d) * (2.0 + d) ** 2 / (4.0 * ctx.k ** 2)
+    return _s2_of_d(ctx, d_complex(ctx, z))
+
 
 
 def c_squared(ctx: ShenContext, z) -> complex:
     """Pythagorean complement 1 - s^2."""
     return 1.0 - s_squared(ctx, z)
+
+# Formulas in d (and wp) for Python scalars and numpy arrays alike, shared
+# by the scalar functions and the batch evaluations of the verify suites.
+
+def _s2_of_d(ctx, d):
+    return (1.0 - d) * ((2.0 + d) * (2.0 + d)) / (4.0 * ctx.k ** 2)
+
+
+def _sc_of_differences(ctx, d_plus, d_minus, step):
+    # -(3 / (16 k^2)) d/dz (d + 2)^2 as a central difference
+    fp, fm = d_plus + 2.0, d_minus + 2.0
+    return -3.0 / (16.0 * ctx.k ** 2) * ((fp * fp - fm * fm) / (2.0 * step))
+
+
+def _cubic_residual(ctx, d):
+    return abs(d ** 3 + 3.0 * d ** 2 - 4.0 * (1.0 - ctx.k ** 2 * _s2_of_d(ctx, d)))
+
+
+def _d_ode_residual(ctx, d, d_prime):
+    rhs = (4.0 / 9.0) * (1.0 - d) * (d ** 3 + 3.0 * d ** 2 + 4.0 * ctx.k ** 2 - 4.0)
+    return abs(d_prime * d_prime - rhs)
+
+
+def _substitution_residual(ctx, d, p):
+    return abs((4.0 / 9.0) * ctx.k ** 2 / (1.0 - d) - 1.0 / 3.0 - p)
 
 
 def sc_product(ctx: ShenContext, z, h: float = _FD_STEP) -> complex:
@@ -91,13 +116,13 @@ def sc_product(ctx: ShenContext, z, h: float = _FD_STEP) -> complex:
         raise DomainError("step h must be positive")
     z = complex(z)
     for direction in (1.0 + 0.0j, 1.0j):
+        step = h * direction
         try:
-            fp = (d_complex(ctx, z + h * direction) + 2.0) ** 2
-            fm = (d_complex(ctx, z - h * direction) + 2.0) ** 2
+            d_plus = d_complex(ctx, z + step)
+            d_minus = d_complex(ctx, z - step)
         except PoleError:
             continue
-        derivative = (fp - fm) / (2.0 * h * direction)
-        return -3.0 / (16.0 * ctx.k ** 2) * derivative
+        return _sc_of_differences(ctx, d_plus, d_minus, step)
     raise PoleError(f"both difference directions at z={z!r} hit poles of d")
 
 
@@ -121,7 +146,7 @@ def _d_values(ctx: ShenContext, z):
 
 def _s2_values(ctx: ShenContext, z):
     d, pole = _d_values(ctx, z)
-    return (1.0 - d) * ((2.0 + d) * (2.0 + d)) / (4.0 * ctx.k ** 2), pole
+    return _s2_of_d(ctx, d), pole
 
 
 def _c2_values(ctx: ShenContext, z):
@@ -129,27 +154,28 @@ def _c2_values(ctx: ShenContext, z):
     return 1.0 - s2, pole
 
 
-def _sc_values(ctx: ShenContext, z):
-    # sc_product's central difference with step _FD_STEP: the real
-    # direction, then the imaginary one where the real one hits a pole of
-    # d; a pole only where both do
-    values = np.full(z.shape, np.nan, dtype=complex)
-    todo = np.arange(z.size)
-    for direction in (1.0 + 0.0j, 1.0j):
-        step = _FD_STEP * direction
-        d, pole = _d_values(ctx, np.concatenate([z[todo] + step, z[todo] - step]))
-        half = todo.size
-        ok = ~(pole[:half] | pole[half:])
-        fp = d[:half][ok] + 2.0
-        fm = d[half:][ok] + 2.0
-        derivative = (fp * fp - fm * fm) / (2.0 * _FD_STEP * direction)
-        values[todo[ok]] = -3.0 / (16.0 * ctx.k ** 2) * derivative
-        todo = todo[~ok]
-        if todo.size == 0:
-            break
-    pole = np.zeros(z.shape, dtype=bool)
-    pole[todo] = True
-    return values, pole
+def _difference_values(ctx: ShenContext, z, h):
+    """(d(z + step), d(z - step), step, pole_mask) over an array of z.
+
+    step is h along the real direction, or along the imaginary one where
+    the real line hits a pole of d, as in ``sc_product`` and
+    ``d_ode_residual``; the mask marks the points where both directions do.
+    """
+    step = np.full(z.shape, complex(h))
+    d, pole = _d_values(ctx, np.concatenate([z + step, z - step]))
+    d_plus, d_minus = np.split(d, 2)
+    pole = np.logical_or(*np.split(pole, 2))
+    if pole.any():
+        step[pole] = 1j * h
+        d, turned = _d_values(ctx, np.concatenate([z[pole] + step[pole], z[pole] - step[pole]]))
+        d_plus[pole], d_minus[pole] = np.split(d, 2)
+        pole[pole] = np.logical_or(*np.split(turned, 2))
+    return d_plus, d_minus, step, pole
+
+
+def _sc_values(ctx: ShenContext, z, h=_FD_STEP):
+    d_plus, d_minus, step, pole = _difference_values(ctx, z, h)
+    return _sc_of_differences(ctx, d_plus, d_minus, step), pole
 
 
 #: The functions of ``shenell sample`` over a flat complex array: name ->
@@ -167,9 +193,7 @@ BATCH_FUNCTIONS = {
 
 def cubic_relation_residual(ctx: ShenContext, z) -> float:
     """|d^3 + 3 d^2 - 4 (1 - k^2 s^2)| at z."""
-    d = d_complex(ctx, z)
-    s2 = (1.0 - d) * (2.0 + d) ** 2 / (4.0 * ctx.k ** 2)
-    return abs(d ** 3 + 3.0 * d ** 2 - 4.0 * (1.0 - ctx.k ** 2 * s2))
+    return _cubic_residual(ctx, d_complex(ctx, z))
 
 
 def d_ode_residual(ctx: ShenContext, z, h: float = 1e-5) -> float:
@@ -183,15 +207,12 @@ def d_ode_residual(ctx: ShenContext, z, h: float = 1e-5) -> float:
     z = complex(z)
     d = d_complex(ctx, z)
     for direction in (1.0 + 0.0j, 1.0j):
+        step = h * direction
         try:
-            dplus = d_complex(ctx, z + h * direction)
-            dminus = d_complex(ctx, z - h * direction)
+            d_prime = (d_complex(ctx, z + step) - d_complex(ctx, z - step)) / (2.0 * step)
         except PoleError:
             continue
-        dprime = (dplus - dminus) / (2.0 * h * direction)
-        rhs = (4.0 / 9.0) * (1.0 - d) * (d ** 3 + 3.0 * d ** 2
-                                         + 4.0 * ctx.k ** 2 - 4.0)
-        return abs(dprime * dprime - rhs)
+        return _d_ode_residual(ctx, d, d_prime)
     raise PoleError(f"both difference directions at z={z!r} hit poles of d")
 
 
@@ -206,8 +227,7 @@ def substitution_chain_check(ctx: ShenContext, z) -> float:
     d = d_complex(ctx, z)
     if abs(1.0 - d) < _UNIT_TOL:
         raise DegenerateError(f"d(z) = 1 at z={z!r}; the substitution degenerates")
-    p = (4.0 / 9.0) * ctx.k ** 2 / (1.0 - d) - 1.0 / 3.0
-    return abs(p - wp(z, ctx.inv, ctx.lat))
+    return _substitution_residual(ctx, d, wp(z, ctx.inv, ctx.lat))
 
 
 def pole_order_slope(f, z0, radii=None, direction=1.0) -> float:

@@ -3,8 +3,10 @@
 u is the integral of F(1/3, 2/3; 1/2; k^2 t^2) / sqrt(1 - t^2) over
 t in [0, sin(phi)]; substituting t = sin(theta) removes the endpoint
 singularity and leaves the smooth integrand F(1/3, 2/3; 1/2;
-k^2 sin^2 theta) on [0, phi], which is also du/dphi. The map inverts on
-[-pi/2, pi/2], and
+k^2 sin^2 theta) on [0, phi], which is also du/dphi. That integrand is
+evaluated in closed form (DLMF 15.4), F(1/3, 2/3; 1/2; sin^2 z) =
+cos(z/3) / cos(z), not by the power series, which needs hundreds of
+terms as k sin(theta) -> 1. The map inverts on [-pi/2, pi/2], and
 
     s(u) = sin(phi(u)),  c(u) = cos(phi(u)),  d(u) = phi'(u).
 
@@ -20,7 +22,6 @@ from typing import NamedTuple
 
 from .exceptions import DomainError, RangeError
 from .field import cached_context
-from .hypergeometric import f_series
 from .quadrature import integrate
 from .weierstrass import POLE_EXCLUSION, Modulus, _check_modulus, wp_with_prime
 
@@ -28,9 +29,27 @@ _HALF_PI = math.pi / 2.0
 
 
 def phase_speed(k: Modulus, phi: float) -> float:
-    """du/dphi at ``phi``, i.e. F(1/3, 2/3; 1/2; k^2 sin^2 phi). Always >= 1."""
+    """du/dphi at ``phi``, i.e. F(1/3, 2/3; 1/2; k^2 sin^2 phi). Always >= 1.
+
+    With y = k |sin phi| and z = asin(y), F = cos(z/3) / cos(z) is taken as
+
+        cos(pi/6 - (2/3) asin(sqrt((1 - y) / 2))) / sqrt((1 - y)(1 + y)),
+
+    since asin(y) = pi/2 - 2 asin(sqrt((1 - y) / 2)). Both angle and
+    denominator come from 1 - y = (1 - k) + k cos^2 phi / (1 + |sin phi|),
+    which never subtracts nearly equal numbers, so the value keeps full
+    relative accuracy as k -> 1 and phi -> pi/2, and is exactly 1 at
+    phi = 0. Even and pi-periodic in ``phi``; other phi are reduced with
+    ``math.remainder``. Raises DomainError where k |sin phi| >= 1.
+    """
+    phi = abs(math.remainder(phi, math.pi))
     s = math.sin(phi)
-    return f_series(k * k * s * s)
+    c = math.cos(phi)
+    one_minus_y = (1.0 - k) + k * (c * c / (1.0 + s))
+    if not one_minus_y > 0.0:  # also rejects nan
+        raise DomainError(f"k |sin phi| >= 1 at k={k!r}, phi={phi!r}")
+    return (math.cos(math.pi / 6.0 - (2.0 / 3.0) * math.asin(math.sqrt(0.5 * one_minus_y)))
+            / math.sqrt(one_minus_y * (2.0 - one_minus_y)))
 
 
 def u_of_phi(k: Modulus, phi: float) -> float:
@@ -94,10 +113,7 @@ def scd_real(k: Modulus, u: float) -> ScdTriple:
     and s^2 + c^2 = 1 holds to machine precision by construction.
     """
     phi = phi_of_u(k, u)
-    s = math.sin(phi)
-    c = math.cos(phi)
-    d = 1.0 / f_series(k * k * s * s)
-    return ScdTriple(s, c, d)
+    return ScdTriple(math.sin(phi), math.cos(phi), 1.0 / phase_speed(k, phi))
 
 
 def derivative_residuals(k: Modulus, u: float, h: float = 1e-5):

@@ -174,47 +174,32 @@ class RootClassification:
         return (self.minus_one_third, self.real_positive) + self.complex_pair
 
 
-def _real_cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def classify_quartic_roots(k: Modulus) -> RootClassification:
     """Roots of f for modulus ``k``: exactly {-1/3, r+ > 0, lam, conj(lam)}.
 
     The root -1/3 is deflated exactly through the factorization; the
-    cubic factor (in w = 3z) is solved in closed form by Cardano's
-    method, its negative discriminant guaranteeing one real root and a
-    conjugate pair. Raises ClassificationError if the computed pattern
-    ever deviates, which would signal an implementation bug.
+    cubic factor (in w = 3z) is solved by Cardano's method in closed form.
+    With m = 1 - k^2 = (1 - k)(1 + k), its depressed form v^3 + p v + q
+    (w = v + 1/3) has p = -(16/3) m, q = -(64/27) m (2 - k^2) and
+    (q/2)^2 + (p/3)^3 = (4096/2916) k^4 m^2 = -disc / 108, so the cube-root
+    arguments -q/2 +- sqrt(...) are (64/27) m and (64/27) m^2, and with
+    t = m^(1/3) the real root is r = 1/3 + (4/3) t (1 + t). The conjugate
+    pair has Re lam = (1 - r)/2 and Im lam = sqrt(-disc) / (2 cubic'(r)),
+    since cubic'(r) = |r - lam|^2 = (16/3) t^2 (1 + t + t^2). No step
+    subtracts nearly equal numbers, so the pattern holds down to k -> 0,
+    where the pair closes in on -1 like k^2. Raises ClassificationError
+    if the computed pattern ever deviates.
     """
     _check_modulus(k)
-    k2 = Fraction(k) ** 2
-    cubic = cubic_factor(k2)
-    c0, c1, c2, _ = cubic.coefficients  # w^3 + c2 w^2 + c1 w + c0 with c2 = -1
-    # depressed form v^3 + p v + q, w = v - c2/3
-    p = float(c1 - c2 * c2 / 3)
-    q = float(Fraction(2, 27) * c2 ** 3 - c2 * c1 / 3 + c0)
-    cardano = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if cardano <= 0.0:
+    m = (1.0 - k) * (1.0 + k)
+    t = m ** (1.0 / 3.0)
+    w_real = 1.0 / 3.0 + (4.0 / 3.0) * t * (1.0 + t)
+    cubic_prime = (16.0 / 3.0) * t * t * (1.0 + t + t * t)
+    imag = (64.0 / math.sqrt(27.0)) * k * k * m / (2.0 * cubic_prime)
+    if not (w_real > 0.0 and imag > 0.0):
         raise ClassificationError(
             f"cubic factor at k={k!r} lost its single-real-root pattern")
-    root_term = math.sqrt(cardano)
-    v_real = _real_cbrt(-q / 2.0 + root_term) + _real_cbrt(-q / 2.0 - root_term)
-    w_real = v_real + 1.0 / 3.0
-    for _ in range(2):  # Newton polish on the cubic in w
-        value = cubic(w_real)
-        w_real -= value / (3.0 * w_real * w_real - 2.0 * w_real + float(c1))
-    v_real = w_real - 1.0 / 3.0
-    # deflating v_real from v^3 + p v + q leaves v^2 + v_real v + (v_real^2 + p)
-    pair_disc = 3.0 * v_real * v_real + 4.0 * p
-    if pair_disc <= 0.0:
-        raise ClassificationError(
-            f"conjugate pair at k={k!r} collapsed onto the real axis")
-    v_pair = complex(-v_real / 2.0, math.sqrt(pair_disc) / 2.0)
-    w_pair = v_pair + 1.0 / 3.0
-    if not w_real > 0.0:
-        raise ClassificationError(
-            f"the real cubic root at k={k!r} is not positive: {w_real!r}")
+    w_pair = complex(0.5 * (1.0 - w_real), imag)
     return RootClassification(
         minus_one_third=-1.0 / 3.0,
         real_positive=w_real / 3.0,

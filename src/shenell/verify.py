@@ -2,7 +2,12 @@
 
 Each suite evaluates one family of identities at a deterministic sample
 set for a given modulus and reports the worst residual against a
-tolerance. Default tolerances are pinned per suite where an identity has
+tolerance. The samples are drawn and evaluated as arrays, on the batch
+wp kernel behind ``shenell sample``, through the same formulas as the
+scalar check functions; the kernel agrees with the scalar ``wp`` to
+rounding, so residuals can differ from a scalar evaluation in the last
+digits (more in the band near iK' at small k, where both are least
+accurate). Default tolerances are pinned per suite where an identity has
 a natural accuracy scale (finite differences, slope fits, exact
 arithmetic); the remaining suites use the generic default of 1e-9,
 overridable through the SHEN_DEFAULT_TOL environment variable. An
@@ -16,13 +21,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DegenerateError, DomainError, PoleError
-from .field import (c_squared, cached_context, cubic_relation_residual, d_complex,
-                    d_ode_residual, pole_order_slope, s_squared, sc_product,
-                    substitution_chain_check)
+from .exceptions import ConvergenceError, DomainError
+from .field import (_cubic_residual, _d_ode_residual, _d_values, _difference_values,
+                    _s2_of_d, _sc_values, _substitution_residual, _wp_values,
+                    cached_context, d_complex, pole_order_slope, s_squared)
 from .phase import phase_speed, phi_of_u, scd_real, u_max, u_of_phi
 from .poles import certify_pole, factorization_check
-from .weierstrass import duplication_check, wp, wp_with_prime
+from .weierstrass import _duplication_residual, _wp_batch, wp
 
 GENERIC_DEFAULT_TOL = 1e-9
 _ENV_VAR = "SHEN_DEFAULT_TOL"
@@ -56,21 +61,33 @@ def _rng(name, k):
 
 
 def _sample_cell(ctx, rng, count, accept):
-    """Rejection-sample ``count`` points of the period cell passing ``accept``."""
-    points = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise ConvergenceError("rejection sampling exhausted its attempt budget")
-        z = complex(rng.uniform(-0.95, 0.95) * ctx.lat.K,
-                    rng.uniform(-0.95, 0.95) * ctx.lat.K_prime)
-        try:
-            if accept(z):
-                points.append(z)
-        except (PoleError, DegenerateError):
-            continue
-    return points
+    """The first ``count`` points of the period cell that ``accept`` passes.
+
+    Candidates are uniform over 0.95 of the cell, drawn in blocks but in
+    the order of one draw per coordinate; ``accept`` maps an array of
+    them to a boolean mask, in which a pole counts as a rejection. At
+    most 200 * count candidates are tried.
+    """
+    scale = np.array([ctx.lat.K, ctx.lat.K_prime])
+    kept = []
+    for _ in range(100):
+        # rows (re, im) viewed as complex numbers
+        z = (rng.uniform(-0.95, 0.95, size=(2 * count, 2)) * scale).view(complex).ravel()
+        kept.append(z[accept(z)])
+        if sum(part.size for part in kept) >= count:
+            return np.concatenate(kept)[:count]
+    raise ConvergenceError("rejection sampling exhausted its attempt budget")
+
+
+def _shifted(ctx, zs):
+    # zs and its translates by the periods 2K and 2iK', end to end
+    return np.concatenate([zs, zs + 2.0 * ctx.lat.K, zs + 2.0j * ctx.lat.K_prime])
+
+
+def _period_gap(values):
+    # the largest change under a period shift, for values at _shifted(zs)
+    rows = values.reshape(3, -1)
+    return np.max(np.abs(rows[1:] - rows[0]))
 
 
 def _suite_pythagorean(k):
@@ -82,41 +99,41 @@ def _suite_pythagorean(k):
 
 def _suite_cubic_relation(k):
     ctx = cached_context(k)
-    rng = _rng("cubic-relation", k)
-    zs = _sample_cell(ctx, rng, 40, lambda z: abs(d_complex(ctx, z)) <= 50.0)
-    worst = max(cubic_relation_residual(ctx, z) for z in zs)
-    return len(zs), worst
+    zs = _sample_cell(ctx, _rng("cubic-relation", k), 40,
+                      lambda z: np.abs(_d_values(ctx, z)[0]) <= 50.0)
+    d, _ = _d_values(ctx, zs)
+    return zs.size, float(np.max(_cubic_residual(ctx, d)))
 
 
 def _suite_d_ode(k):
     ctx = cached_context(k)
     rng = _rng("d-ode", k)
-    points = [complex(u, 0.0) for u in rng.uniform(0.15, 0.9, 10) * ctx.lat.K]
-    points += [complex(rng.uniform(-0.9, 0.9) * ctx.lat.K,
-                       rng.uniform(-0.45, 0.45) * ctx.lat.K_prime)
-               for _ in range(10)]
-    worst = max(d_ode_residual(ctx, z, h=1e-5) for z in points)
-    return len(points), worst
+    real = rng.uniform(0.15, 0.9, 10) * ctx.lat.K
+    plane = rng.uniform([-0.9, -0.45], [0.9, 0.45], size=(10, 2)) * [ctx.lat.K, ctx.lat.K_prime]
+    zs = np.concatenate([real.astype(complex), plane.view(complex).ravel()])
+    d, _ = _d_values(ctx, zs)
+    d_plus, d_minus, step, _ = _difference_values(ctx, zs, 1e-5)
+    residual = _d_ode_residual(ctx, d, (d_plus - d_minus) / (2.0 * step))
+    return zs.size, float(np.max(residual))
 
 
 def _suite_duplication(k):
     ctx = cached_context(k)
-    rng = _rng("duplication", k)
+
+    def values(a):
+        p, dp, _ = _wp_batch(np.concatenate([a, 2.0 * a]), ctx.inv, ctx.lat)
+        return p[:a.size], dp[:a.size], p[a.size:]
 
     def accept(a):
-        pa, dpa = wp_with_prime(a, ctx.inv, ctx.lat)
-        if abs(pa) > 20.0 or abs(dpa) < 0.1:
-            return False
-        return abs(wp(2.0 * a, ctx.inv, ctx.lat)) <= 100.0
+        pa, dpa, p2a = values(a)
+        return (np.abs(pa) <= 20.0) & (np.abs(dpa) >= 0.1) & (np.abs(p2a) <= 100.0)
 
-    zs = _sample_cell(ctx, rng, 20, accept)
-    worst = max(duplication_check(a, ctx.inv, ctx.lat) for a in zs)
-    return len(zs), worst
+    zs = _sample_cell(ctx, _rng("duplication", k), 20, accept)
+    return zs.size, float(np.max(_duplication_residual(ctx.inv, *values(zs))))
 
 
 def _suite_substitution_chain(k):
     ctx = cached_context(k)
-    rng = _rng("substitution-chain", k)
     worst = 0.0
     # real axis: u and d from the defining integral and its integrand at
     # phi, a path fully independent of wp, against wp(u) and its inverse
@@ -126,13 +143,18 @@ def _suite_substitution_chain(k):
         p = (4.0 / 9.0) * k * k / (1.0 - d) - 1.0 / 3.0
         worst = max(worst, abs(p - wp(u, ctx.inv, ctx.lat)),
                     abs(phi_of_u(k, u) - phi))
-    # complex plane: the rational-wp continuation against wp itself
-    zs = _sample_cell(ctx, rng, 10,
-                      lambda z: 1e-6 < abs(1.0 - d_complex(ctx, z))
-                      and abs(d_complex(ctx, z)) <= 50.0)
-    for z in zs:
-        worst = max(worst, substitution_chain_check(ctx, z))
-    return 20, worst
+
+    # complex plane: the rational-wp continuation against wp itself. The
+    # rounding of d reaches p times (9 / (4 k^2)) |wp + 1/3|^2, so points
+    # need |1 - d| = (4/9) k^2 / |wp + 1/3| above a bound proportional to k
+    def accept(z):
+        d, _ = _d_values(ctx, z)
+        return (np.abs(1.0 - d) > 1e-3 * k) & (np.abs(d) <= 50.0)
+
+    zs = _sample_cell(ctx, _rng("substitution-chain", k), 10, accept)
+    d, _ = _d_values(ctx, zs)
+    p, _ = _wp_values(ctx, zs)
+    return 20, float(np.max(_substitution_residual(ctx, d, p), initial=worst))
 
 
 def _suite_factorization(k):
@@ -153,33 +175,22 @@ def _suite_pole(k):
 
 def _suite_periodicity(k):
     ctx = cached_context(k)
-    rng = _rng("periodicity", k)
-    shifts = (2.0 * ctx.lat.K, 2.0j * ctx.lat.K_prime)
-    functions = (d_complex, s_squared, c_squared)
 
     def away_from_d_poles(z):
         # |wp + 1/3| >= 0.15 caps |dd/dwp| at (4/9)/0.15^2 ~ 20 for every
         # k, which keeps wp evaluation noise from leaking into d and s^2
-        return abs(wp(z, ctx.inv, ctx.lat) + 1.0 / 3.0) >= 0.15
+        p, _ = _wp_values(ctx, z)
+        return np.abs(p + 1.0 / 3.0) >= 0.15
 
-    zs = _sample_cell(ctx, rng, 50, away_from_d_poles)
-    worst = 0.0
-    count = 0
-    for z in zs:
-        for fn in functions:
-            base = fn(ctx, z)
-            for shift in shifts:
-                worst = max(worst, abs(fn(ctx, z + shift) - base))
-                count += 1
+    zs = _sample_cell(ctx, _rng("periodicity", k), 50, away_from_d_poles)
+    d, _ = _d_values(ctx, _shifted(ctx, zs))
+    s2 = _s2_of_d(ctx, d)
     # sc is a central difference, which divides congruence noise by the
     # step; a wider step is appropriate here since the FD truncation
     # error is identical at congruent points and cancels exactly
-    for z in zs[:8]:
-        base = sc_product(ctx, z, h=1e-4)
-        for shift in shifts:
-            worst = max(worst, abs(sc_product(ctx, z + shift, h=1e-4) - base))
-            count += 1
-    return count, worst
+    sc, _ = _sc_values(ctx, _shifted(ctx, zs[:8]), h=1e-4)
+    gaps = [_period_gap(values) for values in (d, s2, 1.0 - s2, sc)]
+    return 3 * 2 * zs.size + 2 * 8, float(np.max(gaps))
 
 
 def _suite_pole_order(k):

@@ -146,11 +146,15 @@ def lattice_of_invariants(inv: Invariants) -> Lattice:
 def _laurent_coefficients(g2, g3, count=_N_COEFFS):
     # wp(z) = 1/z^2 + sum_{n>=2} c_n z^(2n-2), c_2 = g2/20, c_3 = g3/28;
     # higher coefficients follow the quadratic recurrence forced by the
-    # wp differential equation.
+    # wp differential equation. Each product c_j c_(n-j) occurs twice in
+    # the sum over j = 2 .. n-2; doubling a rounded product is exact, so
+    # fsum sees the same terms as the full sum and rounds it the same way.
     c = [0.0, 0.0, g2 / 20.0, g3 / 28.0]
     for n in range(4, count + 1):
-        acc = math.fsum(c[j] * c[n - j] for j in range(2, n - 1))
-        c.append(3.0 * acc / ((2 * n + 1) * (n - 3)))
+        terms = [2.0 * (c[j] * c[n - j]) for j in range(2, (n + 1) // 2)]
+        if n % 2 == 0:
+            terms.append(c[n // 2] * c[n // 2])
+        c.append(3.0 * math.fsum(terms) / ((2 * n + 1) * (n - 3)))
     return tuple(c)
 
 
@@ -316,6 +320,10 @@ def duplication_check(a, inv: Invariants, lat: Lattice) -> float:
     if abs(dpa) < _HALF_PERIOD_TOL:
         raise DegenerateError(
             f"wp'(a) ~ 0 at a={a!r}; a is congruent to a half-period")
-    p2a = wp(2.0 * complex(a), inv, lat)
+    return _duplication_residual(inv, pa, dpa, wp(2.0 * complex(a), inv, lat))
+
+
+def _duplication_residual(inv: Invariants, pa, dpa, p2a):
+    # the identity in wp(a), wp'(a) and wp(2a), for scalars or arrays
     curvature = 6.0 * pa * pa - 0.5 * inv.g2
     return abs(p2a + 2.0 * pa - 0.25 * (curvature / dpa) ** 2)

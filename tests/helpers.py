@@ -68,6 +68,19 @@ def exact_cubic(k):
         return (g2, g3), tuple(sorted((mp.re(r) for r in roots), reverse=True))
 
 
+@lru_cache(maxsize=64)
+def quartic_roots(k):
+    """Roots of 12 z^4 - 6 g2 z^2 - 12 g3 z - g2^2/4 at 60 digits.
+
+    The invariants are the exact rationals of the binary value of ``k``,
+    so the three roots that close in on -1/3 as k -> 0 stay resolved.
+    """
+    (g2, g3), _ = exact_cubic(k)
+    with mp.workdps(60):
+        return tuple(mp.polyroots([12, 0, -6 * g2, -12 * g3, -g2 * g2 / 4],
+                                  maxsteps=500, extraprec=300))
+
+
 def mp_roots(k):
     """Roots of 4 t^3 - g2 t - g3 at 60 digits, descending."""
     return exact_cubic(k)[1]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shenell import (DomainError, RangeError, derivative_residuals, phi_of_u,
-                     scd_real, u_max, u_of_phi)
+from shenell import (DomainError, RangeError, derivative_residuals, f_series,
+                     phase_speed, phi_of_u, scd_real, u_max, u_of_phi)
 from helpers import phi_oracle, u_oracle, u_oracle_t_form
 
 # frozen from two independent scipy quadratures of the defining integral
@@ -16,6 +16,42 @@ U_HALF_PI6 = 0.5287789943860387
 
 # frozen from scipy quadrature + Brent inversion at k = 1/2, u = 0.4
 SCD_HALF_04 = (0.38730253506904117, 0.9219526811768022, 0.9831440894598401)
+
+
+PHASE_PHIS = (0.0, 0.3, 1.0, 1.5, 1.57, math.pi / 2.0 - 1e-5, math.pi / 2.0)
+
+
+@pytest.mark.parametrize("one_minus_k", [0.5, 1e-2, 1e-4, 1e-6, 1e-9])
+def test_phase_speed_against_mpmath(one_minus_k):
+    # F grows like (1 - k |sin phi|)^(-1/2), so any rounding in 1 - y is
+    # magnified by 1 / (1 - y) near phi = pi/2 as k -> 1
+    k = 1.0 - one_minus_k
+    for phi in PHASE_PHIS:
+        with mp.workdps(40):
+            exact = mp.hyp2f1(mp.mpf(1) / 3, mp.mpf(2) / 3, mp.mpf(1) / 2,
+                              (mp.mpf(k) * mp.sin(mp.mpf(phi))) ** 2)
+            assert abs(phase_speed(k, phi) / exact - 1) <= 2e-15, phi
+
+
+@pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])
+def test_phase_speed_matches_series(k):
+    # the series itself drifts from mpmath by up to 4e-14 as x -> 0.98,
+    # over its ~1700 terms there
+    for phi in np.linspace(0.0, math.pi / 2.0, 33):
+        x = (k * math.sin(phi)) ** 2
+        if x <= 0.98:
+            rel = 1e-14 if x <= 0.9 else 1e-13
+            assert phase_speed(k, phi) == pytest.approx(f_series(x), rel=rel, abs=0)
+
+
+def test_phase_speed_even_and_pi_periodic():
+    for k in (0.3, 0.999):
+        assert phase_speed(k, 0.0) == 1.0
+        for phi in (0.2, 1.1, 1.5, math.pi / 2.0):
+            value = phase_speed(k, phi)
+            assert phase_speed(k, -phi) == value
+            assert phase_speed(k, phi + math.pi) == pytest.approx(value, rel=1e-13)
+            assert phase_speed(k, phi - 3.0 * math.pi) == pytest.approx(value, rel=1e-13)
 
 
 def test_u_vanishes_at_origin():

@@ -7,6 +7,7 @@ from shenell import (DomainError, RationalPoly, certify_pole,
                      classify_quartic_roots, cubic_discriminant, cubic_factor,
                      factorization_check, invariants_exact,
                      invariants_of_modulus, quartic_f, wp)
+from helpers import quartic_roots
 
 K_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
@@ -131,6 +132,23 @@ def test_classify_quartic_roots(k):
     f = quartic_f(invariants_of_modulus(k))
     for root in cls.roots:
         assert abs(f(root)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [float(k) for k in np.geomspace(1e-6, 0.05, 40)])
+def test_classify_quartic_roots_at_small_modulus(k):
+    # the conjugate pair closes in on -1/3 like k^2, so any difference of
+    # nearly equal floats in the classification loses the pattern
+    cls = classify_quartic_roots(k)
+    assert cls.minus_one_third == -1.0 / 3.0
+    assert cls.real_positive > 0.0
+    lam, lam_bar = cls.complex_pair
+    assert lam_bar == lam.conjugate() and lam.imag > 0.0
+    exact = quartic_roots(k)
+    for root in cls.roots:
+        nearest = min(exact, key=lambda x: abs(x - root))
+        assert abs(nearest - root) <= 1e-12 * abs(nearest)
+    nearest = min(exact, key=lambda x: abs(x - lam))
+    assert abs(lam.imag - nearest.imag) <= 1e-12 * abs(nearest.imag)
 
 
 def test_classified_roots_solve_deflated_cubic():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from shenell import (DomainError, available_suites, default_tolerance,
@@ -68,3 +69,28 @@ def test_full_suite_on_spec_k_grid():
     reports = run_suites(available_suites(), [0.1, 0.5, 0.9])
     failed = [r for r in reports if not r.passed]
     assert not failed, failed
+
+
+# The 22 moduli of the benchmark's certify workload, and each suite's
+# sample count there.
+CERTIFY_MODULI = tuple(float(k) for k in np.concatenate(
+    [np.linspace(0.06, 0.85, 16), 1.0 - np.geomspace(0.12, 0.01, 6)]))
+SAMPLES = {"cubic-relation": 40, "d-ode": 20, "duplication": 20, "factorization": 1,
+           "periodicity": 316, "pole": 2, "pole-order": 2, "pythagorean": 21,
+           "substitution-chain": 20}
+
+
+def test_every_suite_passes_at_certify_moduli():
+    assert sorted(SAMPLES) == available_suites()
+    for k in CERTIFY_MODULI:
+        for name, samples in SAMPLES.items():
+            report = run_suite(name, k)
+            assert report.passed, report
+            assert report.samples == samples, report
+
+
+def test_substitution_chain_at_small_modulus():
+    # rounding of d reaches p = (4k^2/9)/(1 - d) - 1/3 multiplied by
+    # (9/(4k^2)) |wp + 1/3|^2, so the complex half needs |1 - d| > 1e-3 k
+    report = run_suite("substitution-chain", 0.03)
+    assert report.passed, report
