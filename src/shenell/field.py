@@ -74,10 +74,10 @@ def s_squared(ctx: ShenContext, z) -> complex:
     return _s2_of_d(ctx, d_complex(ctx, z))
 
 
-
 def c_squared(ctx: ShenContext, z) -> complex:
     """Pythagorean complement 1 - s^2."""
     return 1.0 - s_squared(ctx, z)
+
 
 # Formulas in d (and wp) for Python scalars and numpy arrays alike, shared
 # by the scalar functions and the batch evaluations of the verify suites.

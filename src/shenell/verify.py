@@ -70,7 +70,7 @@ def _sample_cell(ctx, rng, count, accept):
     """
     scale = np.array([ctx.lat.K, ctx.lat.K_prime])
     kept = []
-    for _ in range(100):
+    for _ in range(100):  # blocks of 2 * count: the 200 * count budget
         # rows (re, im) viewed as complex numbers
         z = (rng.uniform(-0.95, 0.95, size=(2 * count, 2)) * scale).view(complex).ravel()
         kept.append(z[accept(z)])
@@ -140,8 +140,7 @@ def _suite_substitution_chain(k):
     for phi in (phi_of_u(k, u) for u in np.linspace(0.15, 0.9, 10) * ctx.lat.K):
         u = u_of_phi(k, phi)
         d = 1.0 / phase_speed(k, phi)
-        p = (4.0 / 9.0) * k * k / (1.0 - d) - 1.0 / 3.0
-        worst = max(worst, abs(p - wp(u, ctx.inv, ctx.lat)),
+        worst = max(worst, _substitution_residual(ctx, d, wp(u, ctx.inv, ctx.lat)),
                     abs(phi_of_u(k, u) - phi))
 
     # complex plane: the rational-wp continuation against wp itself. The
