@@ -2,7 +2,8 @@
 
 For each modulus k the invariants are explicit rationals in k^2, the
 discriminant is positive, and the lattice is rectangular. wp is
-evaluated from the Laurent series plus the duplication formula alone.
+evaluated as a quotient of Jacobi theta functions, so the duplication
+formula at the end is an independent check.
 """
 
 import numpy as np

@@ -11,8 +11,8 @@ numerically or in exact rational arithmetic.
 from .exceptions import (ClassificationError, ConvergenceError, DegenerateError,
                          DomainError, PoleError, RangeError, ShenError)
 from .field import (D_POLE_TOL, ShenContext, c_squared, cubic_relation_residual,
-                    d_complex, d_ode_residual, pole_order_slope, s_squared,
-                    sc_product, substitution_chain_check)
+                    d_complex, d_ode_residual, pole_order_slope, q_with_prime,
+                    s_squared, sc_product, substitution_chain_check)
 from .hypergeometric import SeriesConfig, f_closed, f_series, triplication_residual
 from .phase import (Modulus, ScdTriple, derivative_residuals, phase_speed,
                     phi_of_u, scd_real, u_max, u_of_phi)
@@ -41,8 +41,8 @@ __all__ = [
     "exact_invariants", "invariants_of_modulus", "lattice_of_invariants",
     "reduce_to_cell", "wp", "wp_prime", "wp_with_prime",
     "D_POLE_TOL", "ShenContext", "c_squared", "cubic_relation_residual",
-    "d_complex", "d_ode_residual", "pole_order_slope", "s_squared", "sc_product",
-    "substitution_chain_check",
+    "d_complex", "d_ode_residual", "pole_order_slope", "q_with_prime", "s_squared",
+    "sc_product", "substitution_chain_check",
     "DiscriminantPair", "RationalPoly", "RootClassification", "certify_pole",
     "classify_quartic_roots", "cubic_discriminant", "cubic_factor",
     "factorization_check", "invariants_exact", "quartic_f",

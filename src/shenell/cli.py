@@ -36,6 +36,8 @@ from .weierstrass import invariants_of_modulus
 #: Most points a grid spec, or a whole ``sample`` grid, may hold.
 MAX_GRID_POINTS = 1_000_000
 
+_CHUNK = 4096  # points per array pass of build_sample_grid: a few MB of work arrays
+
 _CSV_HEADER = "re_z,im_z,re_f,im_f,is_pole\n"
 
 
@@ -113,14 +115,14 @@ def _check_function(name):
 
 
 def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
-    """Sample ``function`` at every re + i im, in one vectorised pass.
+    """Sample ``function`` at every re + i im, in vectorised passes.
 
-    The z-mesh is built once and evaluated by the batch wp kernel, which
-    works through it in fixed-size chunks; the lattice of ``k`` comes from
-    the shared context cache. A row is a pole (``is_pole=1``) exactly
+    The z-mesh is built once and evaluated by the array path of the wp
+    kernel in fixed-size chunks; the lattice of ``k`` comes from the
+    shared context cache. A row is a pole (``is_pole=1``) exactly
     where the scalar function raises PoleError: ``wp`` within
     POLE_EXCLUSION of a lattice point; ``d``, ``s2`` and ``c2`` where
-    |wp + 1/3| < D_POLE_TOL (d is exactly 1 at lattice points); ``sc``
+    |Q| = |wp + 1/3| < D_POLE_TOL (d is exactly 1 at lattice points); ``sc``
     only where both difference directions hit a pole of d, so at
     +-(2/3) iK' it returns a huge finite value. Any non-finite value is a
     pole as well.
@@ -134,7 +136,10 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
     z = np.empty((im.size, re.size), dtype=complex)
     z.real = re
     z.imag = im[:, None]
-    values, pole = BATCH_FUNCTIONS[function](ctx, z.ravel())
+    z, pole = z.ravel(), np.empty(z.size, dtype=bool)
+    values = np.empty_like(z)
+    for i in range(0, z.size, _CHUNK):
+        values[i:i + _CHUNK], pole[i:i + _CHUNK] = BATCH_FUNCTIONS[function](ctx, z[i:i + _CHUNK])
     pole |= ~np.isfinite(values)
     coords = [(x, y) for y in im_axis for x in re_axis]
     rows = [(x, y, None, None, 1) if flag else (x, y, ref, imf, 0)
@@ -145,11 +150,19 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
 
 
 def sample_grid_to_csv(grid: SampleGrid) -> str:
-    """The grid's rows as CSV; a finite float's repr never needs quoting."""
+    """The grid's rows as CSV; a finite float's repr never needs quoting.
+
+    Rows run over the axes, so each axis value is formatted once; a grid
+    whose axes do not match its rows (as from ``rows_to_csv``) is not.
+    """
+    if len(grid.rows) == len(grid.re_axis) * len(grid.im_axis):
+        re_text = [fmt(x) for x in grid.re_axis]
+        coords = (f"{x},{y}" for y in map(fmt, grid.im_axis) for x in re_text)
+    else:
+        coords = (f"{fmt(re)},{fmt(im)}" for re, im, *_ in grid.rows)
     return _CSV_HEADER + "".join(
-        f"{fmt(re)},{fmt(im)},,,1\n" if pole
-        else f"{fmt(re)},{fmt(im)},{fmt(ref)},{fmt(imf)},0\n"
-        for re, im, ref, imf, pole in grid.rows)
+        f"{xy},,,1\n" if pole else f"{xy},{fmt(ref)},{fmt(imf)},0\n"
+        for xy, (_, _, ref, imf, pole) in zip(coords, grid.rows))
 
 
 def sample_grid_rows_from_csv(text: str):

@@ -2,25 +2,27 @@
 
 d extends off the real axis as the rational function of wp
 
-    d = 1 - (4/9) k^2 / (wp + 1/3),
+    d = 1 - (4/9) k^2 / Q,   Q = wp + 1/3,
 
 elliptic of order two with simple poles at +-(2/3) i K' in the cell.
-The squares s^2 = (1 - d)(2 + d)^2 / (4 k^2) and c^2 = 1 - s^2 are then
-elliptic with triple poles; s and c themselves are not elliptic and are
-only exposed on the real principal branch (see :mod:`shenell.phase`).
+Q is of order k^2 near those poles, so it is never formed as wp + 1/3
+(see ``q_with_prime``). s^2 = (1 - d)(2 + d)^2 / (4 k^2) and c^2 = 1 - s^2
+are elliptic with triple poles; s and c themselves are not elliptic and
+are only exposed on the real principal branch (see :mod:`shenell.phase`).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import DegenerateError, DomainError, PoleError
-from .weierstrass import (Invariants, Lattice, Modulus, _wp_batch,
-                          invariants_of_modulus, lattice_of_invariants, wp)
+from .weierstrass import (POLE_EXCLUSION, Invariants, Lattice, Modulus, Nome,
+                          _nome_of_lattice, _root_differences, _wp_minus_root,
+                          invariants_of_modulus, lattice_of_invariants, wp_with_prime)
 
-#: |wp + 1/3| below this counts as a pole of d.
+#: |Q| = |wp + 1/3| below this counts as a pole of d.
 D_POLE_TOL = 1e-10
 
 _FD_STEP = 1e-6
@@ -29,11 +31,28 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ShenContext:
-    """A modulus together with its invariants and lattice."""
+    """A modulus with its invariants, lattice, wp kernel constants and Q roots.
+
+    ``nome`` and ``q_roots`` are derived from the other fields. The roots
+    Q1 > Q2 > Q3 of Q = wp + 1/3 (Q'^2 = 4 Q^3 - 4 Q^2 + (32/27) k^2 Q -
+    (64/729) k^4) are e_j + 1/3, but Q2 and Q3 are of order k^2, so they
+    come from k: Q2 + Q3 = sqrt((e2 - e3)^2 + (64/729) k^4 / Q1),
+    Q2 = (Q2 + Q3 + e2 - e3) / 2 and Q3 = (16/729) k^4 / (Q1 Q2).
+    """
 
     k: Modulus
     inv: Invariants
     lat: Lattice
+    nome: Nome = field(init=False, repr=False)
+    q_roots: tuple = field(init=False)
+
+    def __post_init__(self):
+        q1 = self.lat.e1 + 1.0 / 3.0
+        d23 = _root_differences(self.inv)[2]
+        k4 = (self.k * self.k) ** 2
+        q2 = 0.5 * (math.sqrt(d23 * d23 + (64.0 / 729.0) * k4 / q1) + d23)
+        object.__setattr__(self, "nome", _nome_of_lattice(self.lat))
+        object.__setattr__(self, "q_roots", (q1, q2, (16.0 / 729.0) * k4 / (q1 * q2)))
 
     @classmethod
     def from_modulus(cls, k: Modulus) -> "ShenContext":
@@ -51,22 +70,31 @@ def cached_context(k: Modulus) -> ShenContext:
     return ShenContext.from_modulus(k)
 
 
+def q_with_prime(ctx: ShenContext, z) -> tuple:
+    """(Q(z), wp'(z)) with Q = wp + 1/3, accurate relative to max(|Q|, k^2).
+
+    Q is Q3 plus the theta quotient for wp - e3 (Q1 plus wp - e1 when the
+    kernel is rotated). z and the pole rules are as in ``wp_with_prime``.
+    """
+    part, dp = _wp_minus_root(z, ctx.lat, ctx.nome, POLE_EXCLUSION)
+    return ctx.q_roots[0 if ctx.nome.rotated else 2] + part, dp
+
+
 def d_complex(ctx: ShenContext, z) -> complex:
-    """d(z) = 1 - (4/9) k^2 / (wp(z) + 1/3); even, periods 2K and 2iK'.
+    """d(z) = 1 - (4/9) k^2 / Q(z), Q = wp + 1/3; even, periods 2K and 2iK'.
 
     At lattice points wp has its pole and d takes the regular value 1
     (the initial condition of the real branch), returned exactly.
-    Raises PoleError where wp(z) falls within ``D_POLE_TOL`` of -1/3,
-    i.e. at z congruent to +-(2/3) i K'.
+    Raises PoleError where |Q(z)| < ``D_POLE_TOL``, i.e. at z congruent
+    to +-(2/3) i K'.
     """
     try:
-        p = wp(z, ctx.inv, ctx.lat)
+        q, _ = q_with_prime(ctx, z)
     except PoleError:
         return complex(1.0, 0.0)
-    denom = p + 1.0 / 3.0
-    if abs(denom) < D_POLE_TOL:
+    if abs(q) < D_POLE_TOL:
         raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
-    return 1.0 - (4.0 / 9.0) * ctx.k ** 2 / denom
+    return 1.0 - (4.0 / 9.0) * ctx.k ** 2 / q
 
 
 def s_squared(ctx: ShenContext, z) -> complex:
@@ -79,7 +107,7 @@ def c_squared(ctx: ShenContext, z) -> complex:
     return 1.0 - s_squared(ctx, z)
 
 
-# Formulas in d (and wp) for Python scalars and numpy arrays alike, shared
+# Formulas in d (and Q) for Python scalars and numpy arrays alike, shared
 # by the scalar functions and the batch evaluations of the verify suites.
 
 def _s2_of_d(ctx, d):
@@ -101,8 +129,8 @@ def _d_ode_residual(ctx, d, d_prime):
     return abs(d_prime * d_prime - rhs)
 
 
-def _substitution_residual(ctx, d, p):
-    return abs((4.0 / 9.0) * ctx.k ** 2 / (1.0 - d) - 1.0 / 3.0 - p)
+def _substitution_residual(ctx, one_minus_d, q):
+    return abs((4.0 / 9.0) * ctx.k ** 2 / one_minus_d - q)
 
 
 def sc_product(ctx: ShenContext, z, h: float = _FD_STEP) -> complex:
@@ -112,33 +140,35 @@ def sc_product(ctx: ShenContext, z, h: float = _FD_STEP) -> complex:
     the real direction unless that line hits a pole, then the imaginary
     direction. Analytically equal to -(3 / (8 k^2)) (2 + d) d'.
     """
+    return _sc_of_differences(ctx, *_differences(ctx, z, h))
+
+
+def _differences(ctx: ShenContext, z, h):
+    """(d(z + step), d(z - step), step) for one z, as in ``_difference_values``."""
     if h <= 0.0:
         raise DomainError("step h must be positive")
     z = complex(z)
-    for direction in (1.0 + 0.0j, 1.0j):
-        step = h * direction
+    for step in (complex(h), 1j * h):
         try:
-            d_plus = d_complex(ctx, z + step)
-            d_minus = d_complex(ctx, z - step)
+            return d_complex(ctx, z + step), d_complex(ctx, z - step), step
         except PoleError:
             continue
-        return _sc_of_differences(ctx, d_plus, d_minus, step)
     raise PoleError(f"both difference directions at z={z!r} hit poles of d")
 
 
 def _wp_values(ctx: ShenContext, z):
-    p, _, pole = _wp_batch(z, ctx.inv, ctx.lat)
-    return p, pole
+    p, _ = wp_with_prime(z, ctx.inv, ctx.lat)
+    return p, np.isnan(p)
 
 
 def _d_values(ctx: ShenContext, z):
     # d_complex's rules: exactly 1 at lattice points, a pole where
-    # |wp + 1/3| < D_POLE_TOL
-    p, lattice = _wp_values(ctx, z)
-    denom = p + 1.0 / 3.0
-    pole = np.abs(denom) < D_POLE_TOL
+    # |Q| < D_POLE_TOL
+    q, _ = q_with_prime(ctx, z)
+    lattice = np.isnan(q)
+    pole = np.abs(q) < D_POLE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = 1.0 - (4.0 / 9.0) * ctx.k ** 2 / denom
+        d = 1.0 - (4.0 / 9.0) * ctx.k ** 2 / q
     d[lattice] = 1.0
     d[pole] = np.nan
     return d, pole
@@ -181,7 +211,7 @@ def _sc_values(ctx: ShenContext, z, h=_FD_STEP):
 #: The functions of ``shenell sample`` over a flat complex array: name ->
 #: f(ctx, z) returning (values, pole_mask) by the pole rules of the scalar
 #: functions (``wp``, ``d_complex``, ``s_squared``, ``c_squared`` and
-#: ``sc_product`` with its default step), each from batch wp passes.
+#: ``sc_product`` with its default step), each from array kernel passes.
 BATCH_FUNCTIONS = {
     "d": _d_values,
     "s2": _s2_values,
@@ -202,32 +232,22 @@ def d_ode_residual(ctx: ShenContext, z, h: float = 1e-5) -> float:
     d' is a central difference with step ``h`` (real direction first,
     imaginary as the fallback near poles).
     """
-    if h <= 0.0:
-        raise DomainError("step h must be positive")
-    z = complex(z)
-    d = d_complex(ctx, z)
-    for direction in (1.0 + 0.0j, 1.0j):
-        step = h * direction
-        try:
-            d_prime = (d_complex(ctx, z + step) - d_complex(ctx, z - step)) / (2.0 * step)
-        except PoleError:
-            continue
-        return _d_ode_residual(ctx, d, d_prime)
-    raise PoleError(f"both difference directions at z={z!r} hit poles of d")
+    d_plus, d_minus, step = _differences(ctx, z, h)
+    return _d_ode_residual(ctx, d_complex(ctx, z), (d_plus - d_minus) / (2.0 * step))
 
 
 def substitution_chain_check(ctx: ShenContext, z) -> float:
     """|p(z) - wp(z)| where p = (4 k^2 / 9) / (1 - d) - 1/3.
 
     Exercises the change of variables r = 1/(1 - d), q = (4 k^2 / 9) r,
-    p = q - 1/3 against a direct wp evaluation; the constants enter the
-    two paths independently, so a wrong coefficient in either one shows
-    up here. Raises DegenerateError where d(z) = 1 (lattice points).
+    p = q - 1/3 against a direct evaluation, as |q - Q(z)|; the constants
+    enter the two paths independently, so a wrong coefficient in either
+    one shows up here. Raises DegenerateError where d(z) = 1 (lattice points).
     """
     d = d_complex(ctx, z)
     if abs(1.0 - d) < _UNIT_TOL:
         raise DegenerateError(f"d(z) = 1 at z={z!r}; the substitution degenerates")
-    return _substitution_residual(ctx, d, wp(z, ctx.inv, ctx.lat))
+    return _substitution_residual(ctx, 1.0 - d, q_with_prime(ctx, z)[0])
 
 
 def pole_order_slope(f, z0, radii=None, direction=1.0) -> float:

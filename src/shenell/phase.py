@@ -21,9 +21,9 @@ import math
 from typing import NamedTuple
 
 from .exceptions import DomainError, RangeError
-from .field import cached_context
+from .field import cached_context, q_with_prime
 from .quadrature import integrate
-from .weierstrass import POLE_EXCLUSION, Modulus, _check_modulus, wp_with_prime
+from .weierstrass import POLE_EXCLUSION, Modulus, _check_modulus
 
 _HALF_PI = math.pi / 2.0
 
@@ -77,10 +77,10 @@ def phi_of_u(k: Modulus, u: float) -> float:
     """Invert the phase map: the phi in [-pi/2, pi/2] with u_of_phi(k, phi) = u.
 
     s = sin(phi) and c = cos(phi) are read off the complex field at z = |u|.
-    With q = wp(u) + 1/3, d = 1 - (4/9) k^2 / q gives s = (2 + d) / (3 sqrt(q)),
-    and s' = c d gives c = -wp'(u) / (2 q^(3/2)), so
+    With Q = wp(u) + 1/3, d = 1 - (4/9) k^2 / Q gives s = (2 + d) / (3 sqrt(Q)),
+    and s' = c d gives c = -wp'(u) / (2 Q^(3/2)), so
 
-        phi = atan2(2 wp(u) + 2/3 - (8/27) k^2, -wp'(u)).
+        phi = atan2(2 Q(u) - (8/27) k^2, -wp'(u)),   Q from ``q_with_prime``.
 
     c comes from wp', not from 1 - s^2, which cancels as s -> 1, so phi
     keeps the absolute accuracy of wp' up to u = K, where wp' = 0 and
@@ -95,8 +95,8 @@ def phi_of_u(k: Modulus, u: float) -> float:
                          f"[-{ctx.lat.K}, {ctx.lat.K}]")
     if abs(u) < POLE_EXCLUSION:
         return u
-    p, dp = wp_with_prime(abs(u), ctx.inv, ctx.lat)
-    phi = math.atan2(2.0 * p.real + 2.0 / 3.0 - (8.0 / 27.0) * k * k, -dp.real)
+    q, dp = q_with_prime(ctx, abs(u))
+    phi = math.atan2(2.0 * q.real - (8.0 / 27.0) * k * k, -dp.real)
     return math.copysign(phi, u)
 
 

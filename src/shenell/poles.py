@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exceptions import ClassificationError, DomainError
-from .field import ShenContext
-from .weierstrass import Invariants, Modulus, _check_modulus, exact_invariants, wp
+from .field import ShenContext, q_with_prime
+from .weierstrass import Invariants, Modulus, _check_modulus, exact_invariants
 
 
 class RationalPoly:
@@ -213,18 +213,19 @@ _REALNESS_TOL = 1e-9
 def certify_pole(ctx: ShenContext) -> float:
     """|wp((2/3) i K') + 1/3|; certification passes when below 1e-10.
 
-    Also verifies the structural facts the location argument rests on:
-    wp((2/3) i K') is real and negative (wp < 0 along (0, iK')), and the
-    even mirror -(2/3) i K' carries the same value, so d has its second
-    pole there. Violations raise ClassificationError.
+    The value is |Q((2/3) i K')|, Q from ``q_with_prime``, never a sum
+    with 1/3. Also verifies the structural facts the location argument
+    rests on: wp((2/3) i K') is real and negative (wp < 0 along (0, iK'),
+    so Q < 1/3), and the even mirror -(2/3) i K' carries the same value,
+    so d has its second pole there. Violations raise ClassificationError.
     """
     a = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
-    value = wp(a, ctx.inv, ctx.lat)
-    if abs(value.imag) > _REALNESS_TOL or not value.real < 0.0:
+    value, _ = q_with_prime(ctx, a)
+    if abs(value.imag) > _REALNESS_TOL or not value.real < 1.0 / 3.0:
         raise ClassificationError(
-            f"wp((2/3) i K') = {value!r} is not real negative at k={ctx.k!r}")
-    mirror = wp(-a, ctx.inv, ctx.lat)
+            f"wp((2/3) i K') = {value - 1.0 / 3.0!r} is not real negative at k={ctx.k!r}")
+    mirror, _ = q_with_prime(ctx, -a)
     if abs(mirror - value) > _REALNESS_TOL:
         raise ClassificationError(
             f"evenness violated at the mirror pole for k={ctx.k!r}")
-    return abs(value + 1.0 / 3.0)
+    return abs(value)

@@ -2,18 +2,16 @@
 
 Each suite evaluates one family of identities at a deterministic sample
 set for a given modulus and reports the worst residual against a
-tolerance. The samples are drawn and evaluated as arrays, on the batch
-wp kernel behind ``shenell sample``, through the same formulas as the
-scalar check functions; the kernel agrees with the scalar ``wp`` to
-rounding, so residuals can differ from a scalar evaluation in the last
-digits (more in the band near iK' at small k, where both are least
-accurate). Default tolerances are pinned per suite where an identity has
-a natural accuracy scale (finite differences, slope fits, exact
+tolerance. The samples are drawn and evaluated as arrays, on the same
+wp kernel and through the same formulas as the scalar check functions.
+Default tolerances are pinned per suite where an identity has a natural
+accuracy scale (finite differences, slope fits, exact
 arithmetic); the remaining suites use the generic default of 1e-9,
 overridable through the SHEN_DEFAULT_TOL environment variable. An
 explicit tolerance always wins.
 """
 
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -23,11 +21,11 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
 from .field import (_cubic_residual, _d_ode_residual, _d_values, _difference_values,
-                    _s2_of_d, _sc_values, _substitution_residual, _wp_values,
-                    cached_context, d_complex, pole_order_slope, s_squared)
-from .phase import phase_speed, phi_of_u, scd_real, u_max, u_of_phi
+                    _s2_of_d, _sc_values, _substitution_residual, cached_context,
+                    d_complex, pole_order_slope, q_with_prime, s_squared)
+from .phase import phi_of_u, scd_real, u_max, u_of_phi
 from .poles import certify_pole, factorization_check
-from .weierstrass import _duplication_residual, _wp_batch, wp
+from .weierstrass import _duplication_residual, wp_with_prime
 
 GENERIC_DEFAULT_TOL = 1e-9
 _ENV_VAR = "SHEN_DEFAULT_TOL"
@@ -121,7 +119,7 @@ def _suite_duplication(k):
     ctx = cached_context(k)
 
     def values(a):
-        p, dp, _ = _wp_batch(np.concatenate([a, 2.0 * a]), ctx.inv, ctx.lat)
+        p, dp = wp_with_prime(np.concatenate([a, 2.0 * a]), ctx.inv, ctx.lat)
         return p[:a.size], dp[:a.size], p[a.size:]
 
     def accept(a):
@@ -136,24 +134,28 @@ def _suite_substitution_chain(k):
     ctx = cached_context(k)
     worst = 0.0
     # real axis: u and d from the defining integral and its integrand at
-    # phi, a path fully independent of wp, against wp(u) and its inverse
+    # phi, a path fully independent of wp, against wp(u) and its inverse.
+    # d = 1/F is within (4/9) k^2 of 1, so 1 - d is taken as (F - 1)/F =
+    # 2 sin(2a/3) tan(a/3), a = asin(k |sin phi|), not rounded off d
     for phi in (phi_of_u(k, u) for u in np.linspace(0.15, 0.9, 10) * ctx.lat.K):
         u = u_of_phi(k, phi)
-        d = 1.0 / phase_speed(k, phi)
-        worst = max(worst, _substitution_residual(ctx, d, wp(u, ctx.inv, ctx.lat)),
+        a = math.asin(k * abs(math.sin(phi)))
+        one_minus_d = 2.0 * math.sin(2.0 * a / 3.0) * math.tan(a / 3.0)
+        worst = max(worst, _substitution_residual(ctx, one_minus_d, q_with_prime(ctx, u)[0]),
                     abs(phi_of_u(k, u) - phi))
 
     # complex plane: the rational-wp continuation against wp itself. The
-    # rounding of d reaches p times (9 / (4 k^2)) |wp + 1/3|^2, so points
-    # need |1 - d| = (4/9) k^2 / |wp + 1/3| above a bound proportional to k
+    # rounding of d reaches (4 k^2 / 9) / (1 - d) multiplied by
+    # (9 / (4 k^2)) |Q|^2, so points need |1 - d| = (4/9) k^2 / |Q| above a
+    # bound proportional to k
     def accept(z):
         d, _ = _d_values(ctx, z)
         return (np.abs(1.0 - d) > 1e-3 * k) & (np.abs(d) <= 50.0)
 
     zs = _sample_cell(ctx, _rng("substitution-chain", k), 10, accept)
     d, _ = _d_values(ctx, zs)
-    p, _ = _wp_values(ctx, zs)
-    return 20, float(np.max(_substitution_residual(ctx, d, p), initial=worst))
+    q, _ = q_with_prime(ctx, zs)
+    return 20, float(np.max(_substitution_residual(ctx, 1.0 - d, q), initial=worst))
 
 
 def _suite_factorization(k):
@@ -168,7 +170,7 @@ def _suite_pole(k):
     ctx = cached_context(k)
     residual = certify_pole(ctx)
     a = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
-    congruence = abs(wp(2.0 * a, ctx.inv, ctx.lat) - wp(a, ctx.inv, ctx.lat))
+    congruence = abs(q_with_prime(ctx, 2.0 * a)[0] - q_with_prime(ctx, a)[0])
     return 2, max(residual, congruence)
 
 
@@ -176,10 +178,10 @@ def _suite_periodicity(k):
     ctx = cached_context(k)
 
     def away_from_d_poles(z):
-        # |wp + 1/3| >= 0.15 caps |dd/dwp| at (4/9)/0.15^2 ~ 20 for every
-        # k, which keeps wp evaluation noise from leaking into d and s^2
-        p, _ = _wp_values(ctx, z)
-        return np.abs(p + 1.0 / 3.0) >= 0.15
+        # |Q| = |wp + 1/3| >= 0.15 caps |dd/dQ| at (4/9)/0.15^2 ~ 20 for
+        # every k, which keeps wp evaluation noise from leaking into d and s^2
+        q, _ = q_with_prime(ctx, z)
+        return np.abs(q) >= 0.15
 
     zs = _sample_cell(ctx, _rng("periodicity", k), 50, away_from_d_poles)
     d, _ = _d_values(ctx, _shifted(ctx, zs))

@@ -9,11 +9,10 @@ so the cubic 4 t^3 - g2 t - g3 has three real roots e1 > e2 > e3 and the
 period lattice is rectangular, generated by 2K and 2iK'.
 
 The lattice is closed form: the root differences from the trigonometric
-solution of the cubic, and K, K' from the arithmetic-geometric mean, with
-no quadrature and no root polishing. The evaluator of wp itself uses no
-theta functions and no AGM: arguments are reduced into the cell
-[-K, K] x [-K', K'], halved until the Laurent series about 0 converges
-fast, then pushed back out with the duplication formula.
+solution of the cubic, and K, K' from the arithmetic-geometric mean. wp
+is a quotient of Jacobi theta functions (DLMF 20.2, 23.6(i)) with a nome
+of at most exp(-pi), so a fixed number of terms reaches full precision
+and the same code evaluates Python scalars and numpy arrays.
 """
 
 import cmath
@@ -32,19 +31,8 @@ Modulus = float
 #: Default radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
 
-# Laurent summation applies once |z| <= this fraction of the shortest
-# nonzero lattice vector; the squared ratio 0.1225 kills the series in
-# under thirty terms.
-_SERIES_FRACTION = 0.35
-_N_COEFFS = 48
-
-# wp' smaller than this marks a half-period, where the duplication
-# formula degenerates.
+# wp' below this marks a half-period, where the duplication formula degenerates
 _HALF_PERIOD_TOL = 1e-8
-
-# Points per pass of the batch kernel: its largest work array holds
-# _N_COEFFS - 1 complex powers per point, about 3 MB at this size.
-_BATCH_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -71,6 +59,19 @@ class Lattice:
     e3: float
 
 
+@dataclass(frozen=True)
+class Nome:
+    """Constants of the theta-quotient kernel of one lattice (see ``_nome_of_lattice``)."""
+
+    rotated: bool
+    scale: complex      # maps a reduced z to the theta argument v
+    q: float
+    theta3: tuple       # series coefficients, see _theta_coefficients
+    theta1: tuple
+    c2: float           # the theta constants at 0 of wp - e and wp'
+    c3: complex
+
+
 def _check_modulus(k: float) -> None:
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus out of range (0, 1): k={k!r}")
@@ -90,13 +91,17 @@ def exact_invariants(k2):
 def invariants_of_modulus(k: Modulus) -> Invariants:
     """Invariants for modulus k, correctly rounded.
 
-    The fields are computed in exact rational arithmetic from the binary
-    value of ``k`` and rounded once at the end, so g2(1/2) == 28/27 and
+    With k = n / d exactly (the binary value of ``k``), each field is one
+    integer numerator over one integer denominator, and Python's int / int
+    division rounds correctly, so g2(1/2) == 28/27 and
     delta(1/2) == 48/19683 hold to the last bit.
     """
     _check_modulus(k)
-    g2, g3, delta = exact_invariants(Fraction(k) ** 2)
-    return Invariants(g2=float(g2), g3=float(g3), delta=float(delta))
+    n, d = k.as_integer_ratio()
+    n2, d2 = n * n, d * d
+    return Invariants(g2=4 * (9 * d2 - 8 * n2) / (27 * d2),
+                      g3=8 * (8 * n2 * n2 - 36 * n2 * d2 + 27 * d2 * d2) / (729 * d2 * d2),
+                      delta=4096 * n2 ** 3 * (d2 - n2) / (19683 * d2 ** 4))
 
 
 def _agm(a, b):
@@ -105,6 +110,18 @@ def _agm(a, b):
     while abs(a - b) > 4e-16 * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return a
+
+
+def _root_differences(inv: Invariants) -> tuple:
+    # (e1 - e2, e1 - e3, e2 - e3), as in lattice_of_invariants
+    if not inv.delta > 0.0:
+        raise DomainError(f"lattice requires positive discriminant, got {inv.delta!r}")
+    root_delta = math.sqrt(inv.delta)
+    g3_term = 3.0 * math.sqrt(3.0) * inv.g3
+    x = math.atan2(root_delta, g3_term) / 3.0
+    y = math.atan2(root_delta, -g3_term) / 3.0
+    scale = math.sqrt(inv.g2)
+    return scale * math.sin(y), scale * math.sin(math.pi / 3.0 + x), scale * math.sin(x)
 
 
 def lattice_of_invariants(inv: Invariants) -> Lattice:
@@ -127,45 +144,95 @@ def lattice_of_invariants(inv: Invariants) -> Lattice:
         K = pi / (2 AGM(sqrt(e1 - e2), sqrt(e1 - e3))),
         K' = pi / (2 AGM(sqrt(e1 - e3), sqrt(e2 - e3))).
     """
-    if not inv.delta > 0.0:
-        raise DomainError(f"lattice requires positive discriminant, got {inv.delta!r}")
-    root_delta = math.sqrt(inv.delta)
-    g3_term = 3.0 * math.sqrt(3.0) * inv.g3
-    x = math.atan2(root_delta, g3_term) / 3.0
-    y = math.atan2(root_delta, -g3_term) / 3.0
-    scale = math.sqrt(inv.g2)
-    d12 = scale * math.sin(y)
-    d13 = scale * math.sin(math.pi / 3.0 + x)
-    d23 = scale * math.sin(x)
+    d12, d13, d23 = _root_differences(inv)
     return Lattice(K=math.pi / (2.0 * _agm(math.sqrt(d13), math.sqrt(d12))),
                    K_prime=math.pi / (2.0 * _agm(math.sqrt(d13), math.sqrt(d23))),
                    e1=(d12 + d13) / 3.0, e2=(d23 - d12) / 3.0, e3=-(d13 + d23) / 3.0)
 
 
-@lru_cache(maxsize=64)
-def _laurent_coefficients(g2, g3, count=_N_COEFFS):
-    # wp(z) = 1/z^2 + sum_{n>=2} c_n z^(2n-2), c_2 = g2/20, c_3 = g3/28;
-    # higher coefficients follow the quadratic recurrence forced by the
-    # wp differential equation. Each product c_j c_(n-j) occurs twice in
-    # the sum over j = 2 .. n-2; doubling a rounded product is exact, so
-    # fsum sees the same terms as the full sum and rounds it the same way.
-    c = [0.0, 0.0, g2 / 20.0, g3 / 28.0]
-    for n in range(4, count + 1):
-        terms = [2.0 * (c[j] * c[n - j]) for j in range(2, (n + 1) // 2)]
-        if n % 2 == 0:
-            terms.append(c[n // 2] * c[n // 2])
-        c.append(3.0 * math.fsum(terms) / ((2 * n + 1) * (n - 3)))
-    return tuple(c)
+def _theta_coefficients(q):
+    """Coefficients in x = 2 q cos 2v of theta3(v) and of theta1(v) / (2 q^(1/4) sin v).
+
+    The series (DLMF 20.2) cut after q^12 and q^9 are
+    theta3 = (1 - 2q^4 + 2q^16) + (1 - 3q^8) x + (q^2 - 4q^14) x^2 + q^6 x^3 + q^12 x^4
+    and theta1 / (2 q^(1/4) sin v) = (1 - q^2 - q^6 + q^12) - (q - q^5 - 2q^11) x
+    + (q^4 - q^10) x^2 - q^9 x^3; theta4 and theta2 / (2 q^(1/4) cos v) take -x.
+    A reduced argument has |x| <= 1 + q^2: the first term dropped is below 4e-21.
+    """
+    q2, q3 = q * q, q * q * q
+    q4, q6 = q2 * q2, q3 * q3
+    return ((1.0 - 2.0 * q4 + 2.0 * q4 ** 4, 1.0 - 3.0 * q4 * q4, q2 - 4.0 * q4 * q4 * q6, q6,
+             q6 * q6),
+            (1.0 - q2 - q6 + q6 * q6, -q * (1.0 - q4 - 2.0 * q4 * q6), q4 * (1.0 - q6), -q6 * q3))
 
 
-def _series_pair(z, coeffs):
-    z2 = z * z
-    tail = 0.0j
-    dtail = 0.0j
-    for n in range(len(coeffs) - 1, 1, -1):
-        tail = tail * z2 + coeffs[n]
-        dtail = dtail * z2 + (2 * n - 2) * coeffs[n]
-    return 1.0 / z2 + z2 * tail, -2.0 / (z2 * z) + z * dtail
+def _theta_sums(x, theta3, theta1):
+    # theta3, theta4, theta1 / (2 q^(1/4) sin v), theta2 / (2 q^(1/4) cos v) at x = 2 q cos 2v
+    x2 = x * x
+    even, odd = theta3[0] + x2 * (theta3[2] + x2 * theta3[4]), x * (theta3[1] + x2 * theta3[3])
+    even1, odd1 = theta1[0] + x2 * theta1[2], x * (theta1[1] + x2 * theta1[3])
+    return even + odd, even - odd, even1 + odd1, even1 - odd1
+
+
+def _nome_of_lattice(lat: Lattice) -> Nome:
+    """The kernel constants of ``lat``. With v = pi z / (2K), q = exp(-pi K'/K),
+
+        wp - e3 = (pi / 2K)^2 (theta2(0) theta3(0) theta4(v) / theta1(v))^2,
+        wp' = -2 (pi / 2K)^3 (theta2 theta3 theta4(0))^2
+              theta2(v) theta3(v) theta4(v) / theta1(v)^3
+
+    (DLMF 23.6.5); the factors q^(1/4) of theta1 and theta2 cancel. When
+    K' < K the lattice turned by i is used, wp(z; L) = -wp(iz; iL), with
+    K and K' swapped and e1 for e3, so q <= exp(-pi) either way.
+    """
+    rotated = lat.K_prime < lat.K
+    half, other = (lat.K_prime, lat.K) if rotated else (lat.K, lat.K_prime)
+    q = math.exp(-math.pi * other / half)
+    s = math.pi / (2.0 * half)
+    theta3, theta1 = _theta_coefficients(q)
+    at3, at4, _, at2 = _theta_sums(2.0 * q, theta3, theta1)
+    # wp(z; L) = -wp(iz; iL), wp'(z; L) = -i wp'(iz; iL)
+    turn, sign, cube = (1j, -1.0, -1j) if rotated else (1.0, 1.0, 1.0)
+    return Nome(rotated=rotated, scale=s * turn, q=q, theta3=theta3, theta1=theta1,
+                c2=sign * (s * at2 * at3) ** 2, c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2)
+
+
+_cached_nome = lru_cache(maxsize=64)(_nome_of_lattice)
+
+
+def _theta_quotients(w, nome: Nome, sin, cos):
+    # (wp - e, wp') at reduced w, for scalars (cmath) and arrays (numpy)
+    v = nome.scale * w
+    sine, cosine = sin(v), cos(v)
+    # x = 2 q cos 2v stays below 1 + q^2 where cos 2v itself may overflow
+    theta3, theta4, sine_part, cosine_part = _theta_sums(
+        (2.0 * nome.q) * (1.0 - 2.0 * (sine * sine)), nome.theta3, nome.theta1)
+    denom = sine * sine_part
+    ratio = theta4 / denom
+    return (nome.c2 * ratio * ratio,
+            nome.c3 * cosine * cosine_part * theta3 * ratio / (denom * denom))
+
+
+def _wp_minus_root(z, lat: Lattice, nome: Nome, pole_tol: float = POLE_EXCLUSION):
+    """(wp(z) - e, wp'(z)), where e is e3, or e1 when ``nome.rotated``.
+
+    A number z within ``pole_tol`` of a lattice point raises PoleError,
+    a non-finite one DomainError; in an ndarray z such points are nan.
+    """
+    if not isinstance(z, np.ndarray):
+        w = reduce_to_cell(z, lat)
+        if abs(w) < pole_tol:
+            raise PoleError(f"z={z!r} is within {pole_tol} of a lattice point")
+        return _theta_quotients(w, nome, cmath.sin, cmath.cos)
+    z = np.asarray(z, dtype=complex)
+    w = np.empty(z.shape, dtype=complex)
+    # round half to even, like round() in reduce_to_cell
+    w.real = z.real - 2.0 * lat.K * np.round(z.real / (2.0 * lat.K))
+    w.imag = z.imag - 2.0 * lat.K_prime * np.round(z.imag / (2.0 * lat.K_prime))
+    pole = np.abs(w) < pole_tol
+    with np.errstate(all="ignore"):
+        part, dp = _theta_quotients(w, nome, np.sin, np.cos)
+    return np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
 
 
 def reduce_to_cell(z, lat: Lattice) -> complex:
@@ -176,121 +243,20 @@ def reduce_to_cell(z, lat: Lattice) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"z={z!r} is not finite")
-    two_k = 2.0 * lat.K
-    two_kp = 2.0 * lat.K_prime
-    return complex(z.real - two_k * round(z.real / two_k),
-                   z.imag - two_kp * round(z.imag / two_kp))
+    return complex(z.real - 2.0 * lat.K * round(z.real / (2.0 * lat.K)),
+                   z.imag - 2.0 * lat.K_prime * round(z.imag / (2.0 * lat.K_prime)))
 
 
 def wp_with_prime(z, inv: Invariants, lat: Lattice,
                   pole_tol: float = POLE_EXCLUSION) -> tuple:
-    """(wp(z), wp'(z)) for the given invariants and lattice.
+    """(wp(z), wp'(z)) from theta quotients; ``inv`` is not read again.
 
-    After cell reduction the argument is halved n times until the Laurent
-    series applies, then the duplication formula
-
-        wp(2w) = (wp''(w) / (2 wp'(w)))^2 - 2 wp(w)
-
-    doubles back up, with wp' carried along through the chain rule. All
-    intermediate points 2^j w (j < n) lie in the quarter cell, safely away
-    from the zeros of wp', so each doubling step is well conditioned.
-
-    Raises PoleError when z reduces into ``pole_tol`` of a lattice point.
+    z may be a number or an ndarray. A number within ``pole_tol`` of a
+    lattice point raises PoleError; in an array such points are nan.
     """
-    zr = reduce_to_cell(z, lat)
-    if abs(zr) < pole_tol:
-        raise PoleError(f"z={z!r} is within {pole_tol} of a lattice point")
-    radius = _SERIES_FRACTION * 2.0 * min(lat.K, lat.K_prime)
-    halvings = 0
-    w = zr
-    while abs(w) > radius:
-        w *= 0.5
-        halvings += 1
-    p, dp = _series_pair(w, _laurent_coefficients(inv.g2, inv.g3))
-    for _ in range(halvings):
-        curvature = 6.0 * p * p - 0.5 * inv.g2  # wp''
-        p, dp = ((curvature / (2.0 * dp)) ** 2 - 2.0 * p,
-                 -dp + curvature * (12.0 * p * dp * dp - curvature ** 2)
-                 / (4.0 * dp ** 3))
-    return p, dp
-
-
-def _wp_batch(z, inv: Invariants, lat: Lattice):
-    """(wp, wp', pole_mask) over an array of z, by the algorithm of ``wp_with_prime``.
-
-    Each step of the scalar path runs on the whole array: cell reduction
-    with ``np.round`` (half-even, like ``round``), a per-element halving
-    count from the same ``abs(w) > radius`` test, the Laurent sums as one
-    product with a matrix of powers of w^2, and the duplication steps,
-    each applied to the elements that still have a halving to undo.
-    Products are spelled out (``p * p``, not ``p ** 2``, which numpy
-    evaluates through ``pow``). The Laurent sum runs in another order and
-    numpy may fuse a product with a sum, so results differ from the
-    scalar path by rounding: a few ulps where the duplication chain is
-    well conditioned, and up to about 3e-13 / |wp'(w/2)|^2 relative (w is
-    z reduced to the cell) in the band near iK' where wp' is small, an
-    error the scalar path carries too.
-
-    ``pole_mask`` marks exactly the points where the scalar path raises
-    PoleError (within ``POLE_EXCLUSION`` of a lattice point); wp and wp'
-    are nan there. The input is flattened and processed ``_BATCH_CHUNK``
-    points at a time, so the work arrays keep the same size however large
-    the grid.
-    """
-    z = np.asarray(z, dtype=complex).ravel()
-    p = np.empty_like(z)
-    dp = np.empty_like(z)
-    pole = np.empty(z.shape, dtype=bool)
-    for start in range(0, z.size, _BATCH_CHUNK):
-        part = slice(start, start + _BATCH_CHUNK)
-        p[part], dp[part], pole[part] = _wp_chunk(z[part], inv, lat)
-    return p, dp, pole
-
-
-def _wp_chunk(z, inv, lat):
-    two_k = 2.0 * lat.K
-    two_kp = 2.0 * lat.K_prime
-    w = np.empty_like(z)
-    w.real = z.real - two_k * np.round(z.real / two_k)
-    w.imag = z.imag - two_kp * np.round(z.imag / two_kp)
-    pole = np.abs(w) < POLE_EXCLUSION
-    radius = _SERIES_FRACTION * 2.0 * min(lat.K, lat.K_prime)
-    w[pole] = radius      # any point the series takes without halving
-    halvings = np.zeros(z.shape, dtype=np.int64)
-    todo = np.abs(w) > radius
-    while todo.any():
-        w[todo] *= 0.5
-        halvings += todo
-        todo &= np.abs(w) > radius
-    w2 = w * w
-    weights = _laurent_weights(inv.g2, inv.g3)
-    powers = np.empty((z.size, len(weights)), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = w2[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    tail, dtail = (powers @ weights).T
-    p = 1.0 / w2 + w2 * tail
-    dp = -2.0 / (w2 * w) + w * dtail
-    for step in range(int(halvings.max(initial=0))):
-        sel = halvings > step
-        ps, dps = p[sel], dp[sel]
-        curvature = 6.0 * ps * ps - 0.5 * inv.g2
-        ratio = curvature / (2.0 * dps)
-        p[sel] = ratio * ratio - 2.0 * ps
-        dp[sel] = -dps + (curvature * (12.0 * ps * dps * dps - curvature * curvature)
-                          / (4.0 * (dps * (dps * dps))))
-    p[pole] = np.nan
-    dp[pole] = np.nan
-    return p, dp, pole
-
-
-@lru_cache(maxsize=64)
-def _laurent_weights(g2, g3):
-    # rows n = 2, 3, ...: the coefficient of w^(2n-4) in the tail of
-    # _series_pair and in the tail of its derivative
-    c = _laurent_coefficients(g2, g3)
-    return np.array([[c[n], (2 * n - 2) * c[n]] for n in range(2, len(c))],
-                    dtype=complex)
+    nome = _cached_nome(lat)
+    part, dp = _wp_minus_root(z, lat, nome, pole_tol)
+    return (lat.e1 if nome.rotated else lat.e3) + part, dp
 
 
 def wp(z, inv: Invariants, lat: Lattice, pole_tol: float = POLE_EXCLUSION) -> complex:
@@ -300,11 +266,7 @@ def wp(z, inv: Invariants, lat: Lattice, pole_tol: float = POLE_EXCLUSION) -> co
 
 def wp_prime(z, inv: Invariants, lat: Lattice,
              pole_tol: float = POLE_EXCLUSION) -> complex:
-    """wp'(z) from the differentiated Laurent series and the duplication chain.
-
-    Never computed as a square root of 4 wp^3 - g2 wp - g3, so there is
-    no branch ambiguity to resolve.
-    """
+    """wp'(z) as its own theta quotient, never a square root of 4 wp^3 - g2 wp - g3."""
     return wp_with_prime(z, inv, lat, pole_tol)[1]
 
 

@@ -119,6 +119,22 @@ def wp_oracle_factory(k):
     return oracle
 
 
+def q_oracle_factory(k):
+    """Q = wp + 1/3 at 60 digits, by the Jacobi representation of wp_oracle_factory.
+
+    Q is of order k^2 near the poles of d and in the band near iK', so the
+    1/3 is added before the value is rounded to a double.
+    """
+    e1, e2, e3 = mp_roots(k)
+
+    def oracle(z):
+        with mp.workdps(60):
+            sn = mp.ellipfun("sn", mp.mpc(z) * mp.sqrt(e1 - e3), (e2 - e3) / (e1 - e3))
+            return complex(e3 + mp.mpf(1) / 3 + (e1 - e3) / sn ** 2)
+
+    return oracle
+
+
 def phi_oracle(k, u):
     """The phi with u(phi) = u, by bracketed root finding on the defining integral.
 

@@ -94,3 +94,32 @@ def test_substitution_chain_at_small_modulus():
     # (9/(4k^2)) |wp + 1/3|^2, so the complex half needs |1 - d| > 1e-3 k
     report = run_suite("substitution-chain", 0.03)
     assert report.passed, report
+
+
+# the whole-interval scan: 16 log-spaced k in [1e-6, 0.1], 8 log-spaced
+# 1 - k in [1e-9, 1e-2]
+SCAN_MODULI = tuple(float(k) for k in np.concatenate(
+    [np.geomspace(1e-6, 0.1, 16), 1.0 - np.geomspace(1e-9, 1e-2, 8)]))
+
+
+@pytest.mark.parametrize("k", SCAN_MODULI)
+def test_pole_suite_across_the_interval(k):
+    # Q((2/3) iK') is read off the kernel as Q3 plus the theta quotient,
+    # never as wp + 1/3, so the 1e-10 bound holds down to k = 1e-6
+    report = run_suite("pole", k)
+    assert report.passed, report
+
+
+def test_periodicity_at_small_modulus():
+    # a modulus of the benchmark's certify sweep; near iK' wp is flat, and
+    # an absolute wp error of ~1e-11 there read 1.48e-8 in d
+    report = run_suite("periodicity", 0.010608008252159209)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("k", [float(k) for k in np.geomspace(1e-3, 5e-3, 17)])
+def test_substitution_chain_real_half_at_small_modulus(k):
+    # 1 - d is within (4/9) k^2 of 0 on the real axis; it is formed from the
+    # phase angle, since rounding d = 1/F would cost ~2.5e-16 / (k^2 sin^4 phi)
+    report = run_suite("substitution-chain", k)
+    assert report.passed, report

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shenell import (DegenerateError, DomainError, Invariants, PoleError,
-                     duplication_check, exact_invariants, invariants_of_modulus,
-                     lattice_of_invariants, phi_of_u, reduce_to_cell, scd_real,
-                     u_of_phi, wp, wp_prime, wp_with_prime)
-from helpers import periods_carlson, periods_raw_quadrature, wp_oracle_factory
+                     ShenContext, duplication_check, exact_invariants,
+                     invariants_of_modulus, lattice_of_invariants, phi_of_u,
+                     q_with_prime, reduce_to_cell, scd_real, u_of_phi, wp,
+                     wp_prime, wp_with_prime)
+from helpers import (periods_carlson, periods_raw_quadrature, q_oracle_factory,
+                     wp_oracle_factory)
 
 K_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -94,6 +96,31 @@ def test_periods_whole_interval(k):
     big_k, big_kp = periods_carlson(k)
     assert abs(lat.K - big_k) <= 1e-14 * big_k
     assert abs(lat.K_prime - big_kp) <= 1e-14 * big_kp
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), WHOLE_INTERVAL))
+def test_invariants_correctly_rounded(k):
+    exact = exact_invariants(Fraction(k) ** 2)
+    inv = invariants_of_modulus(k)
+    assert (inv.g2, inv.g3, inv.delta) == tuple(float(x) for x in exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=WHOLE_INTERVAL, u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0))
+def test_q_against_oracle_whole_interval(k, u, v):
+    # Q = wp + 1/3 is of order k^2 at the poles +-(2/3) iK' of d and in the
+    # band near iK', so it is held to a bound relative to that scale
+    ctx = ShenContext.from_modulus(k)
+    oracle = q_oracle_factory(k)
+    big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
+    points = [(2.0 / 3.0) * 1j * big_kp, complex(big_k), 1j * big_kp, complex(big_k, big_kp)]
+    if abs(complex(u, v)) > 1e-6:
+        points.append(complex(u * big_k, v * big_kp))
+    for z in points:
+        q, _ = q_with_prime(ctx, z)
+        expected = oracle(z)
+        assert abs(q - expected) <= 1e-14 * max(abs(expected), 4.0 * k * k / 9.0), (z, q, expected)
 
 
 def test_periods_against_raw_quadrature():
