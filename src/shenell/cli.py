@@ -122,10 +122,10 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
     shared context cache. A row is a pole (``is_pole=1``) exactly
     where the scalar function raises PoleError: ``wp`` within
     POLE_EXCLUSION of a lattice point; ``d``, ``s2`` and ``c2`` where
-    |Q| = |wp + 1/3| < D_POLE_TOL (d is exactly 1 at lattice points); ``sc``
-    only where both difference directions hit a pole of d, so at
-    +-(2/3) iK' it returns a huge finite value. Any non-finite value is a
-    pole as well.
+    |Q| = |wp + 1/3| < D_POLE_TOL (8/27) k^2 (d is exactly 1 at lattice
+    points); ``sc`` nowhere, so at +-(2/3) iK' it returns a huge finite
+    value (and 0 at lattice points). Any non-finite value is a pole as
+    well.
     """
     _check_function(function)
     re = np.asarray(re_axis, dtype=float)

@@ -17,15 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DegenerateError, DomainError, PoleError
+from .exceptions import DegenerateError, PoleError
 from .weierstrass import (POLE_EXCLUSION, Invariants, Lattice, Modulus, Nome,
                           _nome_of_lattice, _root_differences, _wp_minus_root,
                           invariants_of_modulus, lattice_of_invariants, wp_with_prime)
 
-#: |Q| = |wp + 1/3| below this counts as a pole of d.
+#: A pole of d is |Q| = |wp + 1/3| < D_POLE_TOL * (8/27) k^2. Near a pole
+#: z0, Q ~ wp'(z0) (z - z0) with |wp'(z0)| = (8/27) k^2, so the excluded
+#: disc has radius ~D_POLE_TOL at every k.
 D_POLE_TOL = 1e-10
 
-_FD_STEP = 1e-6
 _UNIT_TOL = 1e-12
 
 
@@ -80,21 +81,31 @@ def q_with_prime(ctx: ShenContext, z) -> tuple:
     return ctx.q_roots[0 if ctx.nome.rotated else 2] + part, dp
 
 
+def _pole_disc(ctx: ShenContext, q):
+    # the pole rule of d for a number or an array Q (see D_POLE_TOL): the pole
+    # mask, and Q moved to the disc's edge inside the disc, where Q may round to 0
+    edge = D_POLE_TOL * (8.0 / 27.0) * ctx.k ** 2
+    pole = abs(q) < edge
+    if isinstance(pole, np.ndarray):
+        return pole, np.where(pole, edge, q)
+    return pole, edge if pole else q
+
+
 def d_complex(ctx: ShenContext, z) -> complex:
     """d(z) = 1 - (4/9) k^2 / Q(z), Q = wp + 1/3; even, periods 2K and 2iK'.
 
     At lattice points wp has its pole and d takes the regular value 1
     (the initial condition of the real branch), returned exactly.
-    Raises PoleError where |Q(z)| < ``D_POLE_TOL``, i.e. at z congruent
-    to +-(2/3) i K'.
+    Raises PoleError within ~``D_POLE_TOL`` of a pole of d, i.e. at z
+    congruent to +-(2/3) i K' (see ``D_POLE_TOL``).
     """
     try:
         q, _ = q_with_prime(ctx, z)
     except PoleError:
         return complex(1.0, 0.0)
-    if abs(q) < D_POLE_TOL:
+    if _pole_disc(ctx, q)[0]:
         raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
-    return 1.0 - (4.0 / 9.0) * ctx.k ** 2 / q
+    return _d_of_q(ctx, q)
 
 
 def s_squared(ctx: ShenContext, z) -> complex:
@@ -107,24 +118,29 @@ def c_squared(ctx: ShenContext, z) -> complex:
     return 1.0 - s_squared(ctx, z)
 
 
-# Formulas in d (and Q) for Python scalars and numpy arrays alike, shared
+# Formulas in d, Q and wp' for Python scalars and numpy arrays alike, shared
 # by the scalar functions and the batch evaluations of the verify suites.
+
+def _d_of_q(ctx, q):
+    return 1.0 - (4.0 / 9.0) * ctx.k ** 2 / q
+
 
 def _s2_of_d(ctx, d):
     return (1.0 - d) * ((2.0 + d) * (2.0 + d)) / (4.0 * ctx.k ** 2)
 
 
-def _sc_of_differences(ctx, d_plus, d_minus, step):
-    # -(3 / (16 k^2)) d/dz (d + 2)^2 as a central difference
-    fp, fm = d_plus + 2.0, d_minus + 2.0
-    return -3.0 / (16.0 * ctx.k ** 2) * ((fp * fp - fm * fm) / (2.0 * step))
+def _sc_of_q(ctx, q, dp):
+    # -(3 / (8 k^2)) (2 + d) d', d' = (4/9) k^2 wp' / Q^2; 2 + d as
+    # (3 Q - (4/9) k^2) / Q rounds alike for scalars and arrays where it cancels
+    return -(3.0 * q - (4.0 / 9.0) * ctx.k ** 2) * dp / (6.0 * (q * q * q))
 
 
 def _cubic_residual(ctx, d):
     return abs(d ** 3 + 3.0 * d ** 2 - 4.0 * (1.0 - ctx.k ** 2 * _s2_of_d(ctx, d)))
 
 
-def _d_ode_residual(ctx, d, d_prime):
+def _d_ode_residual(ctx, q, dp):
+    d, d_prime = _d_of_q(ctx, q), (4.0 / 9.0) * ctx.k ** 2 * dp / (q * q)
     rhs = (4.0 / 9.0) * (1.0 - d) * (d ** 3 + 3.0 * d ** 2 + 4.0 * ctx.k ** 2 - 4.0)
     return abs(d_prime * d_prime - rhs)
 
@@ -133,27 +149,19 @@ def _substitution_residual(ctx, one_minus_d, q):
     return abs((4.0 / 9.0) * ctx.k ** 2 / one_minus_d - q)
 
 
-def sc_product(ctx: ShenContext, z, h: float = _FD_STEP) -> complex:
-    """The product s c = -(3 / (16 k^2)) * d/dz (d + 2)^2.
+def sc_product(ctx: ShenContext, z) -> complex:
+    """The product s c = -(3 / (8 k^2)) (2 + d) d' = -(2 + d) wp' / (6 Q^2).
 
-    The derivative is a central difference with step ``h``, taken along
-    the real direction unless that line hits a pole, then the imaginary
-    direction. Analytically equal to -(3 / (8 k^2)) (2 + d) d'.
+    d' = (4/9) k^2 wp' / Q^2 comes in closed form from the wp' that the
+    kernel returns with Q. sc is 0 at lattice points, where d is 1. It
+    never raises PoleError: inside the pole disc of d, Q is taken at the
+    disc's edge, so at +-(2/3) iK' sc is huge (~8e29 / k^2) but finite.
     """
-    return _sc_of_differences(ctx, *_differences(ctx, z, h))
-
-
-def _differences(ctx: ShenContext, z, h):
-    """(d(z + step), d(z - step), step) for one z, as in ``_difference_values``."""
-    if h <= 0.0:
-        raise DomainError("step h must be positive")
-    z = complex(z)
-    for step in (complex(h), 1j * h):
-        try:
-            return d_complex(ctx, z + step), d_complex(ctx, z - step), step
-        except PoleError:
-            continue
-    raise PoleError(f"both difference directions at z={z!r} hit poles of d")
+    try:
+        q, dp = q_with_prime(ctx, z)
+    except PoleError:
+        return complex(0.0, 0.0)
+    return _sc_of_q(ctx, _pole_disc(ctx, q)[1], dp)
 
 
 def _wp_values(ctx: ShenContext, z):
@@ -162,14 +170,12 @@ def _wp_values(ctx: ShenContext, z):
 
 
 def _d_values(ctx: ShenContext, z):
-    # d_complex's rules: exactly 1 at lattice points, a pole where
-    # |Q| < D_POLE_TOL
+    # d_complex's rules: exactly 1 at lattice points (Q is nan), a pole in the disc
     q, _ = q_with_prime(ctx, z)
-    lattice = np.isnan(q)
-    pole = np.abs(q) < D_POLE_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = 1.0 - (4.0 / 9.0) * ctx.k ** 2 / q
-    d[lattice] = 1.0
+    pole, q = _pole_disc(ctx, q)
+    with np.errstate(invalid="ignore"):
+        d = _d_of_q(ctx, q)
+    d[np.isnan(q)] = 1.0
     d[pole] = np.nan
     return d, pole
 
@@ -184,34 +190,20 @@ def _c2_values(ctx: ShenContext, z):
     return 1.0 - s2, pole
 
 
-def _difference_values(ctx: ShenContext, z, h):
-    """(d(z + step), d(z - step), step, pole_mask) over an array of z.
-
-    step is h along the real direction, or along the imaginary one where
-    the real line hits a pole of d, as in ``sc_product`` and
-    ``d_ode_residual``; the mask marks the points where both directions do.
-    """
-    step = np.full(z.shape, complex(h))
-    d, pole = _d_values(ctx, np.concatenate([z + step, z - step]))
-    d_plus, d_minus = np.split(d, 2)
-    pole = np.logical_or(*np.split(pole, 2))
-    if pole.any():
-        step[pole] = 1j * h
-        d, turned = _d_values(ctx, np.concatenate([z[pole] + step[pole], z[pole] - step[pole]]))
-        d_plus[pole], d_minus[pole] = np.split(d, 2)
-        pole[pole] = np.logical_or(*np.split(turned, 2))
-    return d_plus, d_minus, step, pole
-
-
-def _sc_values(ctx: ShenContext, z, h=_FD_STEP):
-    d_plus, d_minus, step, pole = _difference_values(ctx, z, h)
-    return _sc_of_differences(ctx, d_plus, d_minus, step), pole
+def _sc_values(ctx: ShenContext, z):
+    # sc_product's rules: 0 at lattice points, never a pole
+    q, dp = q_with_prime(ctx, z)
+    q = _pole_disc(ctx, q)[1]
+    with np.errstate(invalid="ignore"):
+        sc = _sc_of_q(ctx, q, dp)
+    sc[np.isnan(q)] = 0.0
+    return sc, np.zeros(sc.shape, dtype=bool)
 
 
 #: The functions of ``shenell sample`` over a flat complex array: name ->
 #: f(ctx, z) returning (values, pole_mask) by the pole rules of the scalar
 #: functions (``wp``, ``d_complex``, ``s_squared``, ``c_squared`` and
-#: ``sc_product`` with its default step), each from array kernel passes.
+#: ``sc_product``), each through the scalar formula from one kernel pass.
 BATCH_FUNCTIONS = {
     "d": _d_values,
     "s2": _s2_values,
@@ -226,14 +218,20 @@ def cubic_relation_residual(ctx: ShenContext, z) -> float:
     return _cubic_residual(ctx, d_complex(ctx, z))
 
 
-def d_ode_residual(ctx: ShenContext, z, h: float = 1e-5) -> float:
+def d_ode_residual(ctx: ShenContext, z) -> float:
     """Residual of (d')^2 = (4/9)(1 - d)(d^3 + 3 d^2 + 4 k^2 - 4).
 
-    d' is a central difference with step ``h`` (real direction first,
-    imaginary as the fallback near poles).
+    d' = (4/9) k^2 wp' / Q^2. wp and wp' are separate theta quotients, so
+    this checks wp'^2 = 4 wp^3 - g2 wp - g3 in Q form. 0 at lattice
+    points, where d = 1 and d' = 0; raises PoleError at a pole of d.
     """
-    d_plus, d_minus, step = _differences(ctx, z, h)
-    return _d_ode_residual(ctx, d_complex(ctx, z), (d_plus - d_minus) / (2.0 * step))
+    try:
+        q, dp = q_with_prime(ctx, z)
+    except PoleError:
+        return 0.0
+    if _pole_disc(ctx, q)[0]:
+        raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
+    return _d_ode_residual(ctx, q, dp)
 
 
 def substitution_chain_check(ctx: ShenContext, z) -> float:

@@ -5,8 +5,8 @@ set for a given modulus and reports the worst residual against a
 tolerance. The samples are drawn and evaluated as arrays, on the same
 wp kernel and through the same formulas as the scalar check functions.
 Default tolerances are pinned per suite where an identity has a natural
-accuracy scale (finite differences, slope fits, exact
-arithmetic); the remaining suites use the generic default of 1e-9,
+accuracy scale (derivatives and period shifts near poles, slope fits,
+exact arithmetic); the remaining suites use the generic default of 1e-9,
 overridable through the SHEN_DEFAULT_TOL environment variable. An
 explicit tolerance always wins.
 """
@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .field import (_cubic_residual, _d_ode_residual, _d_values, _difference_values,
+from .field import (_cubic_residual, _d_ode_residual, _d_values,
                     _s2_of_d, _sc_values, _substitution_residual, cached_context,
                     d_complex, pole_order_slope, q_with_prime, s_squared)
 from .phase import phi_of_u, scd_real, u_max, u_of_phi
@@ -109,9 +109,8 @@ def _suite_d_ode(k):
     real = rng.uniform(0.15, 0.9, 10) * ctx.lat.K
     plane = rng.uniform([-0.9, -0.45], [0.9, 0.45], size=(10, 2)) * [ctx.lat.K, ctx.lat.K_prime]
     zs = np.concatenate([real.astype(complex), plane.view(complex).ravel()])
-    d, _ = _d_values(ctx, zs)
-    d_plus, d_minus, step, _ = _difference_values(ctx, zs, 1e-5)
-    residual = _d_ode_residual(ctx, d, (d_plus - d_minus) / (2.0 * step))
+    # wp and wp' are separate theta quotients: an identity of the kernel
+    residual = _d_ode_residual(ctx, *q_with_prime(ctx, zs))
     return zs.size, float(np.max(residual))
 
 
@@ -186,10 +185,7 @@ def _suite_periodicity(k):
     zs = _sample_cell(ctx, _rng("periodicity", k), 50, away_from_d_poles)
     d, _ = _d_values(ctx, _shifted(ctx, zs))
     s2 = _s2_of_d(ctx, d)
-    # sc is a central difference, which divides congruence noise by the
-    # step; a wider step is appropriate here since the FD truncation
-    # error is identical at congruent points and cancels exactly
-    sc, _ = _sc_values(ctx, _shifted(ctx, zs[:8]), h=1e-4)
+    sc, _ = _sc_values(ctx, _shifted(ctx, zs[:8]))
     gaps = [_period_gap(values) for values in (d, s2, 1.0 - s2, sc)]
     return 3 * 2 * zs.size + 2 * 8, float(np.max(gaps))
 

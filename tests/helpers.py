@@ -135,6 +135,27 @@ def q_oracle_factory(k):
     return oracle
 
 
+def sc_oracle_factory(k):
+    """s c = -(2 + d) wp' / (6 Q^2) at 60 digits, d = 1 - (4/9) k^2 / Q.
+
+    Q and wp' = -2 (e1 - e3)^(3/2) cn dn / sn^3 come from the Jacobi
+    representation of ``q_oracle_factory``.
+    """
+    e1, e2, e3 = mp_roots(k)
+
+    def oracle(z):
+        with mp.workdps(60):
+            scale = mp.sqrt(e1 - e3)
+            w, m = mp.mpc(z) * scale, (e2 - e3) / (e1 - e3)
+            sn, cn, dn = (mp.ellipfun(name, w, m) for name in ("sn", "cn", "dn"))
+            q = e3 + mp.mpf(1) / 3 + (e1 - e3) / sn ** 2
+            dp = -2 * (e1 - e3) * scale * cn * dn / sn ** 3
+            d = 1 - mp.mpf(4) / 9 * mp.mpf(k) ** 2 / q
+            return complex(-(2 + d) * dp / (6 * q * q))
+
+    return oracle
+
+
 def phi_oracle(k, u):
     """The phi with u(phi) = u, by bracketed root finding on the defining integral.
 

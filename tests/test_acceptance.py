@@ -129,7 +129,7 @@ def test_criterion_07_d_ode_residual():
             complex(-0.5 * big_k, 0.4 * big_kp),
             complex(0.15 * big_k, -0.35 * big_kp))]
     assert len(pairs) == 20
-    worst = max(d_ode_residual(ctx_for(k), z, h=1e-5) for k, z in pairs)
+    worst = max(d_ode_residual(ctx_for(k), z) for k, z in pairs)
     check(7, "d ODE residual", worst < 1e-7, f"max residual {worst:.3e}")
 
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shenell import (PoleError, ShenContext, c_squared, d_complex, q_with_prime,
-                     s_squared, sc_product, wp_with_prime)
+from shenell import (D_POLE_TOL, PoleError, ShenContext, c_squared, d_complex,
+                     q_with_prime, s_squared, sc_product, wp_with_prime)
 from shenell.cli import build_sample_grid
 from helpers import wp_oracle_factory
 
@@ -23,7 +23,6 @@ from helpers import wp_oracle_factory
 # the oracle the worst is 9e-14, near poles three periods out, where the
 # rounded periods used to reduce z are magnified by |wp'|
 _ROUNDING = 1e-12
-_STEP = 1e-6      # the difference step of sc_product
 
 
 def _wp_tolerances(ctx, z):
@@ -51,15 +50,17 @@ def _tolerance(ctx, fn, z, value):
     if fn in ("s2", "c2"):
         d = d_complex(ctx, z)
         return 3.0 * abs(d * (2.0 + d)) / (4.0 * ctx.k ** 2) * _d_tolerance(ctx, z) + slack
-    # sc: the central difference of (d + 2)^2 along the direction sc_product takes
-    for direction in (1.0, 1.0j):
-        try:
-            ends = [z + sign * _STEP * direction for sign in (1.0, -1.0)]
-            spread = sum(abs(d_complex(ctx, e) + 2.0) * _d_tolerance(ctx, e) for e in ends)
-        except PoleError:
-            continue
-        return 3.0 / (16.0 * ctx.k ** 2) * spread / _STEP + slack
-    raise AssertionError(f"sc has no difference direction at {z!r}")
+    # sc = -(3 Q - a) wp' / (6 Q^3), a = (4/9) k^2, with Q at the edge of
+    # the pole disc of d where it lies inside; 0 on both paths at lattice points
+    try:
+        q, dp = q_with_prime(ctx, z)
+    except PoleError:
+        return slack
+    a = (4.0 / 9.0) * ctx.k ** 2
+    q = max(abs(q), D_POLE_TOL * (8.0 / 27.0) * ctx.k ** 2)
+    tol_wp, tol_dp = _wp_tolerances(ctx, z)
+    return (abs(dp) * (2.0 * q + a) / (2.0 * q ** 4) * tol_wp
+            + (3.0 * q + a) / (6.0 * q ** 3) * tol_dp + slack)
 
 
 _SCALAR = {
@@ -144,13 +145,60 @@ def test_sample_grid_matches_scalar_functions(k, fn):
     assert flagged == {"wp": 4, "d": 4, "s2": 4, "c2": 4, "sc": 0}[fn]
 
 
-def test_sample_sc_falls_back_to_imaginary_difference():
-    # at z = h + (2/3) iK' the real difference touches the pole of d at
-    # z - h, so sc must come from the imaginary direction, as in sc_product
+def test_sample_sc_next_to_pole():
+    # 1e-6 from the pole of d, outside its ~1e-10 disc: sc is of triple-pole
+    # size and unflagged, and the grid agrees with sc_product
     ctx = ShenContext.from_modulus(0.5)
     im = (2.0 / 3.0) * ctx.lat.K_prime
-    grid = build_sample_grid(0.5, "sc", [_STEP], [im])
+    z = complex(1e-6, im)
+    grid = build_sample_grid(0.5, "sc", [z.real], [im])
     (_, _, ref, imf, pole), = grid.rows
-    expected = sc_product(ctx, complex(_STEP, im))
+    expected = sc_product(ctx, z)
     assert pole == 0
-    assert abs(complex(ref, imf) - expected) <= _tolerance(ctx, "sc", complex(_STEP, im), expected)
+    assert abs(expected) > 1e15
+    assert abs(complex(ref, imf) - expected) <= _tolerance(ctx, "sc", z, expected)
+
+
+@pytest.mark.parametrize("k", (0.05, 1e-3))
+def test_sample_sc_matches_scalar_on_full_cell(k):
+    """Scalar and array sc run one formula in Q and wp' on the 61 x 31 cell grid.
+
+    Relative to max(1, |sc|): near the zeros of 2 + d, sc is only as
+    accurate as Q relative to k^2.
+    """
+    ctx = ShenContext.from_modulus(k)
+    re_axis = [i * (2.0 * ctx.lat.K / 60) for i in range(61)]
+    im_axis = [j * (2.0 * ctx.lat.K_prime / 30) for j in range(31)]
+    grid = build_sample_grid(k, "sc", re_axis, im_axis)
+    for re, im, ref, imf, pole in grid.rows:
+        expected = sc_product(ctx, complex(re, im))
+        assert pole == 0
+        assert abs(complex(ref, imf) - expected) <= 1e-13 * max(1.0, abs(expected)), (re, im)
+
+
+def test_sc_huge_and_finite_where_q_rounds_to_zero():
+    # this grid point of the pole row has Q == 0.0 exactly, where a bare
+    # -(2 + d) wp' / (6 Q^2) would be inf or nan
+    k = 0.2505
+    ctx = ShenContext.from_modulus(k)
+    im = 10 * (2.0 * ctx.lat.K_prime / 30)
+    assert q_with_prime(ctx, complex(0.0, im))[0] == 0.0
+    value = sc_product(ctx, complex(0.0, im))
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+    assert abs(value) >= 1e8
+    (_, _, ref, imf, pole), = build_sample_grid(k, "sc", [0.0], [im]).rows
+    assert pole == 0
+    assert abs(complex(ref, imf)) >= 1e8
+
+
+def test_sample_d_flags_only_the_poles_at_tiny_modulus():
+    # the pole disc of d has radius ~D_POLE_TOL at every k: at k = 1e-6 the
+    # line Im z = K' (where d ~ -2) has no pole, and Im z = (2/3) K' has
+    # the two at the ends of the row, at 0 and 2K
+    k = 1e-6
+    ctx = ShenContext.from_modulus(k)
+    re_axis = [i * (2.0 * ctx.lat.K / 10) for i in range(11)]
+    rows = build_sample_grid(k, "d", re_axis, [ctx.lat.K_prime]).rows
+    assert [row[4] for row in rows] == [0] * 11
+    rows = build_sample_grid(k, "d", re_axis, [(2.0 / 3.0) * ctx.lat.K_prime]).rows
+    assert [row[4] for row in rows] == [1] + [0] * 9 + [1]

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from shenell import (DegenerateError, DomainError, PoleError, c_squared,
+from shenell import (DegenerateError, PoleError, c_squared,
                      cubic_relation_residual, d_complex, d_ode_residual,
                      pole_order_slope, s_squared, sc_product, scd_real,
                      substitution_chain_check, u_max, wp)
+from helpers import sc_oracle_factory
 
 
 def _d_pole(ctx):
@@ -96,14 +97,20 @@ def test_sc_product_periodicity(context_for):
         assert abs(sc_product(ctx, z + 2.0j * ctx.lat.K_prime) - base) < 1e-7
 
 
-def test_sc_product_rejects_bad_step(context_for):
-    with pytest.raises(DomainError):
-        sc_product(context_for(0.5), 0.3, h=-1e-6)
+@pytest.mark.parametrize("k", (1e-3, 0.05, 0.5, 0.95))
+def test_sc_product_matches_oracle(context_for, k):
+    ctx = context_for(k)
+    oracle = sc_oracle_factory(k)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = complex(rng.uniform(-1.0, 1.0) * ctx.lat.K,
+                    rng.uniform(-1.0, 1.0) * ctx.lat.K_prime)
+        want = oracle(z)
+        assert abs(sc_product(ctx, z) - want) <= 1e-11 * abs(want), (k, z)
 
 
 def test_sc_product_near_pole_switches_direction(context_for):
-    # z differs from the d pole by exactly the step; the real-direction
-    # stencil is fine, but the imaginary one would hit the pole
+    # 1e-6 above the d pole, outside its ~1e-10 disc
     ctx = context_for(0.5)
     z = _d_pole(ctx) + 1e-6j
     value = sc_product(ctx, z)
@@ -142,9 +149,9 @@ def test_cubic_relation_real_on_imaginary_axis(context_for):
 def test_d_ode_residual(context_for):
     ctx = context_for(0.5)
     assert d_ode_residual(ctx, 0.0) < 1e-10
-    assert d_ode_residual(ctx, 0.4 + 0.2j, h=1e-5) < 1e-7
+    assert d_ode_residual(ctx, 0.4 + 0.2j) < 1e-7
     ctx9 = context_for(0.9)
-    assert d_ode_residual(ctx9, 0.3, h=1e-5) < 1e-7
+    assert d_ode_residual(ctx9, 0.3) < 1e-7
 
 
 def test_substitution_chain(context_for):

@@ -123,3 +123,20 @@ def test_substitution_chain_real_half_at_small_modulus(k):
     # phase angle, since rounding d = 1/F would cost ~2.5e-16 / (k^2 sin^4 phi)
     report = run_suite("substitution-chain", k)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("k", [k for k in SCAN_MODULI if k < 5e-3])
+def test_pole_order_at_small_modulus(k):
+    # the pole disc of d has radius ~1e-10 at every k, inside the sweep's
+    # smallest radius of ~1e-5
+    report = run_suite("pole-order", k)
+    assert report.passed, report
+
+
+def test_d_ode_across_the_moduli():
+    # with d' = (4/9) k^2 wp' / Q^2 in closed form the residual is rounding,
+    # ~2e-14 at worst; a central difference of step 1e-5 read up to 7e-9
+    # here. k = 0.16866... once read 1.17e-7, over the pinned 1e-7
+    for k in [*np.linspace(0.05, 0.99, 2000), 0.16866392716532072]:
+        report = run_suite("d-ode", float(k))
+        assert report.passed and report.max_residual < 1e-12, report
