@@ -117,15 +117,15 @@ def _check_function(name):
 def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
     """Sample ``function`` at every re + i im, in vectorised passes.
 
-    The z-mesh is built once and evaluated by the array path of the wp
-    kernel in fixed-size chunks; the lattice of ``k`` comes from the
-    shared context cache. A row is a pole (``is_pole=1``) exactly
-    where the scalar function raises PoleError: ``wp`` within
+    The z-mesh is built once and passed in fixed-size chunks to the
+    function itself, which takes arrays as it takes numbers; the lattice
+    of ``k`` comes from the shared context cache. A row is a pole
+    (``is_pole=1``) exactly where its value is not finite, which is where
+    the function raises PoleError for a number: ``wp`` within
     POLE_EXCLUSION of a lattice point; ``d``, ``s2`` and ``c2`` where
     |Q| = |wp + 1/3| < D_POLE_TOL (8/27) k^2 (d is exactly 1 at lattice
     points); ``sc`` nowhere, so at +-(2/3) iK' it returns a huge finite
-    value (and 0 at lattice points). Any non-finite value is a pole as
-    well.
+    value (and 0 at lattice points).
     """
     _check_function(function)
     re = np.asarray(re_axis, dtype=float)
@@ -136,11 +136,11 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
     z = np.empty((im.size, re.size), dtype=complex)
     z.real = re
     z.imag = im[:, None]
-    z, pole = z.ravel(), np.empty(z.size, dtype=bool)
+    z = z.ravel()
     values = np.empty_like(z)
     for i in range(0, z.size, _CHUNK):
-        values[i:i + _CHUNK], pole[i:i + _CHUNK] = BATCH_FUNCTIONS[function](ctx, z[i:i + _CHUNK])
-    pole |= ~np.isfinite(values)
+        values[i:i + _CHUNK] = BATCH_FUNCTIONS[function](ctx, z[i:i + _CHUNK])
+    pole = ~np.isfinite(values)
     coords = [(x, y) for y in im_axis for x in re_axis]
     rows = [(x, y, None, None, 1) if flag else (x, y, ref, imf, 0)
             for (x, y), ref, imf, flag in zip(coords, values.real.tolist(),

@@ -9,6 +9,9 @@ Q is of order k^2 near those poles, so it is never formed as wp + 1/3
 (see ``q_with_prime``). s^2 = (1 - d)(2 + d)^2 / (4 k^2) and c^2 = 1 - s^2
 are elliptic with triple poles; s and c themselves are not elliptic and
 are only exposed on the real principal branch (see :mod:`shenell.phase`).
+
+Each function of z has one body for a number and an ndarray, as the
+kernel does: where a number raises PoleError, an array holds nan.
 """
 
 import math
@@ -18,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateError, PoleError
-from .weierstrass import (POLE_EXCLUSION, Invariants, Lattice, Modulus, Nome,
-                          _nome_of_lattice, _root_differences, _wp_minus_root,
-                          invariants_of_modulus, lattice_of_invariants, wp_with_prime)
+from .weierstrass import (POLE_EXCLUSION, Invariants, Lattice, Modulus, _root_differences,
+                          _wp_minus_root, invariants_of_modulus, lattice_of_invariants,
+                          wp_with_prime)
 
 #: A pole of d is |Q| = |wp + 1/3| < D_POLE_TOL * (8/27) k^2. Near a pole
 #: z0, Q ~ wp'(z0) (z - z0) with |wp'(z0)| = (8/27) k^2, so the excluded
@@ -32,9 +35,9 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ShenContext:
-    """A modulus with its invariants, lattice, wp kernel constants and Q roots.
+    """A modulus with its invariants, lattice (with the wp kernel constants) and Q roots.
 
-    ``nome`` and ``q_roots`` are derived from the other fields. The roots
+    ``q_roots`` is derived from the other fields. The roots
     Q1 > Q2 > Q3 of Q = wp + 1/3 (Q'^2 = 4 Q^3 - 4 Q^2 + (32/27) k^2 Q -
     (64/729) k^4) are e_j + 1/3, but Q2 and Q3 are of order k^2, so they
     come from k: Q2 + Q3 = sqrt((e2 - e3)^2 + (64/729) k^4 / Q1),
@@ -44,7 +47,6 @@ class ShenContext:
     k: Modulus
     inv: Invariants
     lat: Lattice
-    nome: Nome = field(init=False, repr=False)
     q_roots: tuple = field(init=False)
 
     def __post_init__(self):
@@ -52,7 +54,6 @@ class ShenContext:
         d23 = _root_differences(self.inv)[2]
         k4 = (self.k * self.k) ** 2
         q2 = 0.5 * (math.sqrt(d23 * d23 + (64.0 / 729.0) * k4 / q1) + d23)
-        object.__setattr__(self, "nome", _nome_of_lattice(self.lat))
         object.__setattr__(self, "q_roots", (q1, q2, (16.0 / 729.0) * k4 / (q1 * q2)))
 
     @classmethod
@@ -77,8 +78,8 @@ def q_with_prime(ctx: ShenContext, z) -> tuple:
     Q is Q3 plus the theta quotient for wp - e3 (Q1 plus wp - e1 when the
     kernel is rotated). z and the pole rules are as in ``wp_with_prime``.
     """
-    part, dp = _wp_minus_root(z, ctx.lat, ctx.nome, POLE_EXCLUSION)
-    return ctx.q_roots[0 if ctx.nome.rotated else 2] + part, dp
+    part, dp = _wp_minus_root(z, ctx.lat, POLE_EXCLUSION)
+    return ctx.q_roots[0 if ctx.lat.nome.rotated else 2] + part, dp
 
 
 def _pole_disc(ctx: ShenContext, q):
@@ -91,35 +92,29 @@ def _pole_disc(ctx: ShenContext, q):
     return pole, edge if pole else q
 
 
-def d_complex(ctx: ShenContext, z) -> complex:
-    """d(z) = 1 - (4/9) k^2 / Q(z), Q = wp + 1/3; even, periods 2K and 2iK'.
-
-    At lattice points wp has its pole and d takes the regular value 1
-    (the initial condition of the real branch), returned exactly.
-    Raises PoleError within ~``D_POLE_TOL`` of a pole of d, i.e. at z
-    congruent to +-(2/3) i K' (see ``D_POLE_TOL``).
-    """
+def _by_pole_rules(ctx: ShenContext, z, formula, at_lattice, poles=True):
+    # formula(Q, wp') at a number or an array z: ``at_lattice`` exactly where
+    # the kernel refuses a lattice point, and in the pole disc of d (with
+    # ``poles``) PoleError for a number and nan in an array; elsewhere in the
+    # disc, Q is taken at its edge
     try:
-        q, _ = q_with_prime(ctx, z)
+        q, dp = q_with_prime(ctx, z)
     except PoleError:
-        return complex(1.0, 0.0)
-    if _pole_disc(ctx, q)[0]:
-        raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
-    return _d_of_q(ctx, q)
+        return at_lattice
+    pole, edge_q = _pole_disc(ctx, q)
+    if not isinstance(q, np.ndarray):
+        if pole and poles:
+            raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
+        return formula(edge_q, dp)
+    with np.errstate(invalid="ignore"):
+        values = formula(edge_q, dp)
+    values[np.isnan(q)] = at_lattice
+    if poles:
+        values[pole] = np.nan
+    return values
 
 
-def s_squared(ctx: ShenContext, z) -> complex:
-    """s^2 via the (s, d) relation: (1 - d)(2 + d)^2 / (4 k^2)."""
-    return _s2_of_d(ctx, d_complex(ctx, z))
-
-
-def c_squared(ctx: ShenContext, z) -> complex:
-    """Pythagorean complement 1 - s^2."""
-    return 1.0 - s_squared(ctx, z)
-
-
-# Formulas in d, Q and wp' for Python scalars and numpy arrays alike, shared
-# by the scalar functions and the batch evaluations of the verify suites.
+# Formulas without a z, for Python scalars and numpy arrays alike
 
 def _d_of_q(ctx, q):
     return 1.0 - (4.0 / 9.0) * ctx.k ** 2 / q
@@ -129,109 +124,78 @@ def _s2_of_d(ctx, d):
     return (1.0 - d) * ((2.0 + d) * (2.0 + d)) / (4.0 * ctx.k ** 2)
 
 
-def _sc_of_q(ctx, q, dp):
-    # -(3 / (8 k^2)) (2 + d) d', d' = (4/9) k^2 wp' / Q^2; 2 + d as
-    # (3 Q - (4/9) k^2) / Q rounds alike for scalars and arrays where it cancels
-    return -(3.0 * q - (4.0 / 9.0) * ctx.k ** 2) * dp / (6.0 * (q * q * q))
-
-
-def _cubic_residual(ctx, d):
-    return abs(d ** 3 + 3.0 * d ** 2 - 4.0 * (1.0 - ctx.k ** 2 * _s2_of_d(ctx, d)))
-
-
-def _d_ode_residual(ctx, q, dp):
-    d, d_prime = _d_of_q(ctx, q), (4.0 / 9.0) * ctx.k ** 2 * dp / (q * q)
-    rhs = (4.0 / 9.0) * (1.0 - d) * (d ** 3 + 3.0 * d ** 2 + 4.0 * ctx.k ** 2 - 4.0)
-    return abs(d_prime * d_prime - rhs)
-
-
 def _substitution_residual(ctx, one_minus_d, q):
     return abs((4.0 / 9.0) * ctx.k ** 2 / one_minus_d - q)
 
 
-def sc_product(ctx: ShenContext, z) -> complex:
+def d_complex(ctx: ShenContext, z):
+    """d(z) = 1 - (4/9) k^2 / Q(z), Q = wp + 1/3; even, periods 2K and 2iK'.
+
+    z is a number or an ndarray. At lattice points wp has its pole and d
+    takes the regular value 1 (the initial condition of the real branch),
+    exactly. Within ~``D_POLE_TOL`` of a pole of d, i.e. at z congruent
+    to +-(2/3) i K', a number raises PoleError and an array holds nan.
+    """
+    return _by_pole_rules(ctx, z, lambda q, _: _d_of_q(ctx, q), complex(1.0, 0.0))
+
+
+def s_squared(ctx: ShenContext, z):
+    """s^2 via the (s, d) relation: (1 - d)(2 + d)^2 / (4 k^2); poles as ``d_complex``."""
+    return _s2_of_d(ctx, d_complex(ctx, z))
+
+
+def c_squared(ctx: ShenContext, z):
+    """Pythagorean complement 1 - s^2; poles as ``d_complex``."""
+    return 1.0 - s_squared(ctx, z)
+
+
+def sc_product(ctx: ShenContext, z):
     """The product s c = -(3 / (8 k^2)) (2 + d) d' = -(2 + d) wp' / (6 Q^2).
 
     d' = (4/9) k^2 wp' / Q^2 comes in closed form from the wp' that the
-    kernel returns with Q. sc is 0 at lattice points, where d is 1. It
-    never raises PoleError: inside the pole disc of d, Q is taken at the
-    disc's edge, so at +-(2/3) iK' sc is huge (~8e29 / k^2) but finite.
+    kernel returns with Q, and 2 + d is written as (3 Q - (4/9) k^2) / Q,
+    so numbers and arrays round alike where it cancels. z is a number or
+    an ndarray. sc is 0 at lattice points, where d is 1. It is never a
+    pole: inside the pole disc of d, Q is taken at the disc's edge, so at
+    +-(2/3) iK' sc is huge (~8e29 / k^2) but finite.
     """
-    try:
-        q, dp = q_with_prime(ctx, z)
-    except PoleError:
-        return complex(0.0, 0.0)
-    return _sc_of_q(ctx, _pole_disc(ctx, q)[1], dp)
+    a = (4.0 / 9.0) * ctx.k ** 2
+    return _by_pole_rules(ctx, z, lambda q, dp: -(3.0 * q - a) * dp / (6.0 * (q * q * q)),
+                          complex(0.0, 0.0), poles=False)
 
 
-def _wp_values(ctx: ShenContext, z):
-    p, _ = wp_with_prime(z, ctx.inv, ctx.lat)
-    return p, np.isnan(p)
-
-
-def _d_values(ctx: ShenContext, z):
-    # d_complex's rules: exactly 1 at lattice points (Q is nan), a pole in the disc
-    q, _ = q_with_prime(ctx, z)
-    pole, q = _pole_disc(ctx, q)
-    with np.errstate(invalid="ignore"):
-        d = _d_of_q(ctx, q)
-    d[np.isnan(q)] = 1.0
-    d[pole] = np.nan
-    return d, pole
-
-
-def _s2_values(ctx: ShenContext, z):
-    d, pole = _d_values(ctx, z)
-    return _s2_of_d(ctx, d), pole
-
-
-def _c2_values(ctx: ShenContext, z):
-    s2, pole = _s2_values(ctx, z)
-    return 1.0 - s2, pole
-
-
-def _sc_values(ctx: ShenContext, z):
-    # sc_product's rules: 0 at lattice points, never a pole
-    q, dp = q_with_prime(ctx, z)
-    q = _pole_disc(ctx, q)[1]
-    with np.errstate(invalid="ignore"):
-        sc = _sc_of_q(ctx, q, dp)
-    sc[np.isnan(q)] = 0.0
-    return sc, np.zeros(sc.shape, dtype=bool)
-
-
-#: The functions of ``shenell sample`` over a flat complex array: name ->
-#: f(ctx, z) returning (values, pole_mask) by the pole rules of the scalar
-#: functions (``wp``, ``d_complex``, ``s_squared``, ``c_squared`` and
-#: ``sc_product``), each through the scalar formula from one kernel pass.
+#: The functions of ``shenell sample``: name -> f(ctx, z) for a flat
+#: complex array z, nan (a pole row) wherever the function raises
+#: PoleError for a number.
 BATCH_FUNCTIONS = {
-    "d": _d_values,
-    "s2": _s2_values,
-    "c2": _c2_values,
-    "sc": _sc_values,
-    "wp": _wp_values,
+    "d": d_complex,
+    "s2": s_squared,
+    "c2": c_squared,
+    "sc": sc_product,
+    "wp": lambda ctx, z: wp_with_prime(z, ctx.inv, ctx.lat)[0],
 }
 
 
-def cubic_relation_residual(ctx: ShenContext, z) -> float:
-    """|d^3 + 3 d^2 - 4 (1 - k^2 s^2)| at z."""
-    return _cubic_residual(ctx, d_complex(ctx, z))
+def cubic_relation_residual(ctx: ShenContext, z):
+    """|d^3 + 3 d^2 - 4 (1 - k^2 s^2)| at a number or an array z; poles as ``d_complex``."""
+    d = d_complex(ctx, z)
+    return abs(d ** 3 + 3.0 * d ** 2 - 4.0 * (1.0 - ctx.k ** 2 * _s2_of_d(ctx, d)))
 
 
-def d_ode_residual(ctx: ShenContext, z) -> float:
+def d_ode_residual(ctx: ShenContext, z):
     """Residual of (d')^2 = (4/9)(1 - d)(d^3 + 3 d^2 + 4 k^2 - 4).
 
     d' = (4/9) k^2 wp' / Q^2. wp and wp' are separate theta quotients, so
-    this checks wp'^2 = 4 wp^3 - g2 wp - g3 in Q form. 0 at lattice
-    points, where d = 1 and d' = 0; raises PoleError at a pole of d.
+    this checks wp'^2 = 4 wp^3 - g2 wp - g3 in Q form. z is a number or an
+    ndarray. 0 at lattice points, where d = 1 and d' = 0; poles as
+    ``d_complex``.
     """
-    try:
-        q, dp = q_with_prime(ctx, z)
-    except PoleError:
-        return 0.0
-    if _pole_disc(ctx, q)[0]:
-        raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
-    return _d_ode_residual(ctx, q, dp)
+    def residual(q, dp):
+        d, d_prime = _d_of_q(ctx, q), (4.0 / 9.0) * ctx.k ** 2 * dp / (q * q)
+        rhs = (4.0 / 9.0) * (1.0 - d) * (d ** 3 + 3.0 * d ** 2 + 4.0 * ctx.k ** 2 - 4.0)
+        return abs(d_prime * d_prime - rhs)
+
+    return _by_pole_rules(ctx, z, residual, 0.0)
 
 
 def substitution_chain_check(ctx: ShenContext, z) -> float:

@@ -1,8 +1,9 @@
 """The Gauss hypergeometric function F(1/3, 2/3; 1/2; x) on [0, 1).
 
-Everything downstream is driven by this single function: the power
-series with term recurrence, and the trigonometric closed form
-F(1/3, 2/3; 1/2; sin^2 z) = cos(z/3) / cos(z).
+The paper's starting point, as the power series with term recurrence
+and as the closed form F(1/3, 2/3; 1/2; sin^2 z) = cos(z/3) / cos(z).
+No other module calls them: :mod:`shenell.phase` evaluates the phase
+speed from its own rearrangement of the closed form.
 """
 
 import math

@@ -2,13 +2,13 @@
 
 Each suite evaluates one family of identities at a deterministic sample
 set for a given modulus and reports the worst residual against a
-tolerance. The samples are drawn and evaluated as arrays, on the same
-wp kernel and through the same formulas as the scalar check functions.
-Default tolerances are pinned per suite where an identity has a natural
-accuracy scale (derivatives and period shifts near poles, slope fits,
-exact arithmetic); the remaining suites use the generic default of 1e-9,
-overridable through the SHEN_DEFAULT_TOL environment variable. An
-explicit tolerance always wins.
+tolerance. The samples are drawn as arrays and passed to the public
+functions of :mod:`shenell.field`, which take arrays as they take
+numbers. Default tolerances are pinned per suite where an identity has
+a natural accuracy scale (derivatives and period shifts near poles,
+slope fits, exact arithmetic); the rest use the generic default of
+1e-9, overridable through the SHEN_DEFAULT_TOL environment variable.
+An explicit tolerance always wins.
 """
 
 import math
@@ -20,12 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .field import (_cubic_residual, _d_ode_residual, _d_values,
-                    _s2_of_d, _sc_values, _substitution_residual, cached_context,
-                    d_complex, pole_order_slope, q_with_prime, s_squared)
+from .field import (_s2_of_d, _substitution_residual, cached_context,
+                    cubic_relation_residual, d_complex, d_ode_residual, pole_order_slope,
+                    q_with_prime, s_squared, sc_product)
 from .phase import phi_of_u, scd_real, u_max, u_of_phi
 from .poles import certify_pole, factorization_check
-from .weierstrass import _duplication_residual, wp_with_prime
+from .weierstrass import _check_modulus, _duplication_residual, wp_with_prime
 
 GENERIC_DEFAULT_TOL = 1e-9
 _ENV_VAR = "SHEN_DEFAULT_TOL"
@@ -98,9 +98,8 @@ def _suite_pythagorean(k):
 def _suite_cubic_relation(k):
     ctx = cached_context(k)
     zs = _sample_cell(ctx, _rng("cubic-relation", k), 40,
-                      lambda z: np.abs(_d_values(ctx, z)[0]) <= 50.0)
-    d, _ = _d_values(ctx, zs)
-    return zs.size, float(np.max(_cubic_residual(ctx, d)))
+                      lambda z: np.abs(d_complex(ctx, z)) <= 50.0)
+    return zs.size, float(np.max(cubic_relation_residual(ctx, zs)))
 
 
 def _suite_d_ode(k):
@@ -110,8 +109,7 @@ def _suite_d_ode(k):
     plane = rng.uniform([-0.9, -0.45], [0.9, 0.45], size=(10, 2)) * [ctx.lat.K, ctx.lat.K_prime]
     zs = np.concatenate([real.astype(complex), plane.view(complex).ravel()])
     # wp and wp' are separate theta quotients: an identity of the kernel
-    residual = _d_ode_residual(ctx, *q_with_prime(ctx, zs))
-    return zs.size, float(np.max(residual))
+    return zs.size, float(np.max(d_ode_residual(ctx, zs)))
 
 
 def _suite_duplication(k):
@@ -148,20 +146,16 @@ def _suite_substitution_chain(k):
     # (9 / (4 k^2)) |Q|^2, so points need |1 - d| = (4/9) k^2 / |Q| above a
     # bound proportional to k
     def accept(z):
-        d, _ = _d_values(ctx, z)
+        d = d_complex(ctx, z)
         return (np.abs(1.0 - d) > 1e-3 * k) & (np.abs(d) <= 50.0)
 
     zs = _sample_cell(ctx, _rng("substitution-chain", k), 10, accept)
-    d, _ = _d_values(ctx, zs)
-    q, _ = q_with_prime(ctx, zs)
-    return 20, float(np.max(_substitution_residual(ctx, 1.0 - d, q), initial=worst))
+    residual = _substitution_residual(ctx, 1.0 - d_complex(ctx, zs), q_with_prime(ctx, zs)[0])
+    return 20, float(np.max(residual, initial=worst))
 
 
 def _suite_factorization(k):
-    # snap the float modulus to the decimal rational it prints as; the
-    # identity is exact for every rational k^2
-    k2 = Fraction(str(k)) ** 2
-    ok = factorization_check(k2)
+    ok = factorization_check(Fraction(k) ** 2)
     return 1, 0.0 if ok else 1.0
 
 
@@ -183,9 +177,9 @@ def _suite_periodicity(k):
         return np.abs(q) >= 0.15
 
     zs = _sample_cell(ctx, _rng("periodicity", k), 50, away_from_d_poles)
-    d, _ = _d_values(ctx, _shifted(ctx, zs))
+    d = d_complex(ctx, _shifted(ctx, zs))
     s2 = _s2_of_d(ctx, d)
-    sc, _ = _sc_values(ctx, _shifted(ctx, zs[:8]))
+    sc = sc_product(ctx, _shifted(ctx, zs[:8]))
     gaps = [_period_gap(values) for values in (d, s2, 1.0 - s2, sc)]
     return 3 * 2 * zs.size + 2 * 8, float(np.max(gaps))
 
@@ -219,7 +213,11 @@ def available_suites():
 
 
 def default_tolerance(name: str) -> float:
-    """The tolerance used for ``name`` when none is given explicitly."""
+    """The tolerance used for ``name`` when none is given explicitly.
+
+    Raises DomainError for an unknown suite, and for a SHEN_DEFAULT_TOL
+    that is not a finite positive number where it applies.
+    """
     try:
         pinned = SUITES[name][1]
     except KeyError:
@@ -227,7 +225,14 @@ def default_tolerance(name: str) -> float:
                           f"{', '.join(available_suites())}") from None
     if pinned is not None:
         return pinned
-    return float(os.environ.get(_ENV_VAR, GENERIC_DEFAULT_TOL))
+    text = os.environ.get(_ENV_VAR, repr(GENERIC_DEFAULT_TOL))
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{_ENV_VAR} must be a finite positive number, got {text!r}")
+    return value
 
 
 def run_suite(name: str, k: float, tol: float = None) -> VerificationReport:
@@ -235,8 +240,7 @@ def run_suite(name: str, k: float, tol: float = None) -> VerificationReport:
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from "
                           f"{', '.join(available_suites())}")
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"modulus out of range (0, 1): k={k!r}")
+    _check_modulus(k)
     tolerance = float(tol) if tol is not None else default_tolerance(name)
     runner = SUITES[name][0]
     samples, worst = runner(k)

@@ -17,9 +17,8 @@ and the same code evaluates Python scalars and numpy arrays.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,17 +48,6 @@ class Invariants:
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """Half-periods K, K' (2K and 2iK' generate the lattice) and the cubic roots."""
-
-    K: float
-    K_prime: float
-    e1: float
-    e2: float
-    e3: float
-
-
-@dataclass(frozen=True)
 class Nome:
     """Constants of the theta-quotient kernel of one lattice (see ``_nome_of_lattice``)."""
 
@@ -70,6 +58,21 @@ class Nome:
     theta1: tuple
     c2: float           # the theta constants at 0 of wp - e and wp'
     c3: complex
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Half-periods K, K' (2K and 2iK' generate the lattice) and the cubic roots."""
+
+    K: float
+    K_prime: float
+    e1: float
+    e2: float
+    e3: float
+    nome: Nome = field(init=False, repr=False, compare=False)  # derived: the kernel constants
+
+    def __post_init__(self):
+        object.__setattr__(self, "nome", _nome_of_lattice(self))
 
 
 def _check_modulus(k: float) -> None:
@@ -197,9 +200,6 @@ def _nome_of_lattice(lat: Lattice) -> Nome:
                 c2=sign * (s * at2 * at3) ** 2, c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2)
 
 
-_cached_nome = lru_cache(maxsize=64)(_nome_of_lattice)
-
-
 def _theta_quotients(w, nome: Nome, sin, cos):
     # (wp - e, wp') at reduced w, for scalars (cmath) and arrays (numpy)
     v = nome.scale * w
@@ -213,8 +213,8 @@ def _theta_quotients(w, nome: Nome, sin, cos):
             nome.c3 * cosine * cosine_part * theta3 * ratio / (denom * denom))
 
 
-def _wp_minus_root(z, lat: Lattice, nome: Nome, pole_tol: float = POLE_EXCLUSION):
-    """(wp(z) - e, wp'(z)), where e is e3, or e1 when ``nome.rotated``.
+def _wp_minus_root(z, lat: Lattice, pole_tol: float = POLE_EXCLUSION):
+    """(wp(z) - e, wp'(z)), where e is e3, or e1 when ``lat.nome.rotated``.
 
     A number z within ``pole_tol`` of a lattice point raises PoleError,
     a non-finite one DomainError; in an ndarray z such points are nan.
@@ -223,7 +223,7 @@ def _wp_minus_root(z, lat: Lattice, nome: Nome, pole_tol: float = POLE_EXCLUSION
         w = reduce_to_cell(z, lat)
         if abs(w) < pole_tol:
             raise PoleError(f"z={z!r} is within {pole_tol} of a lattice point")
-        return _theta_quotients(w, nome, cmath.sin, cmath.cos)
+        return _theta_quotients(w, lat.nome, cmath.sin, cmath.cos)
     z = np.asarray(z, dtype=complex)
     w = np.empty(z.shape, dtype=complex)
     # round half to even, like round() in reduce_to_cell
@@ -231,7 +231,7 @@ def _wp_minus_root(z, lat: Lattice, nome: Nome, pole_tol: float = POLE_EXCLUSION
     w.imag = z.imag - 2.0 * lat.K_prime * np.round(z.imag / (2.0 * lat.K_prime))
     pole = np.abs(w) < pole_tol
     with np.errstate(all="ignore"):
-        part, dp = _theta_quotients(w, nome, np.sin, np.cos)
+        part, dp = _theta_quotients(w, lat.nome, np.sin, np.cos)
     return np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
 
 
@@ -254,9 +254,8 @@ def wp_with_prime(z, inv: Invariants, lat: Lattice,
     z may be a number or an ndarray. A number within ``pole_tol`` of a
     lattice point raises PoleError; in an array such points are nan.
     """
-    nome = _cached_nome(lat)
-    part, dp = _wp_minus_root(z, lat, nome, pole_tol)
-    return (lat.e1 if nome.rotated else lat.e3) + part, dp
+    part, dp = _wp_minus_root(z, lat, pole_tol)
+    return (lat.e1 if lat.nome.rotated else lat.e3) + part, dp
 
 
 def wp(z, inv: Invariants, lat: Lattice, pole_tol: float = POLE_EXCLUSION) -> complex:

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shenell import (D_POLE_TOL, PoleError, ShenContext, c_squared, d_complex,
-                     q_with_prime, s_squared, sc_product, wp_with_prime)
+from shenell import (D_POLE_TOL, PoleError, ShenContext, c_squared, cubic_relation_residual,
+                     d_complex, d_ode_residual, q_with_prime, s_squared, sc_product,
+                     wp_with_prime)
 from shenell.cli import build_sample_grid
 from helpers import wp_oracle_factory
 
@@ -202,3 +203,39 @@ def test_sample_d_flags_only_the_poles_at_tiny_modulus():
     assert [row[4] for row in rows] == [0] * 11
     rows = build_sample_grid(k, "d", re_axis, [(2.0 / 3.0) * ctx.lat.K_prime]).rows
     assert [row[4] for row in rows] == [1] + [0] * 9 + [1]
+
+
+@pytest.mark.parametrize("k", (1e-3, 0.05, 0.3, 0.7))
+def test_field_functions_take_arrays_by_the_scalar_pole_rules(k):
+    """d, sc and the residuals on an ndarray: nan exactly where a number raises PoleError."""
+    ctx = ShenContext.from_modulus(k)
+    re_axis = [i * (2.0 * ctx.lat.K / 24) for i in range(25)]
+    im_axis = [j * (2.0 * ctx.lat.K_prime / 15) for j in range(16)]
+    zs = np.array([complex(x, y) for y in im_axis for x in re_axis])
+    d, sc = d_complex(ctx, zs), sc_product(ctx, zs)
+    cubic, ode = cubic_relation_residual(ctx, zs), d_ode_residual(ctx, zs)
+    assert d.shape == sc.shape == cubic.shape == ode.shape == zs.shape
+    assert not np.isnan(sc).any()
+    poles = lattice = 0
+    for i, z in enumerate(zs):
+        try:
+            q_with_prime(ctx, z)
+        except PoleError:
+            lattice += 1
+            assert d[i] == 1.0 and sc[i] == 0.0 and cubic[i] == 0.0 and ode[i] == 0.0, z
+            continue
+        try:
+            expected_d = d_complex(ctx, z)
+        except PoleError:
+            poles += 1
+            assert np.isnan(d[i]) and np.isnan(cubic[i]) and np.isnan(ode[i]), z
+            with pytest.raises(PoleError):
+                d_ode_residual(ctx, z)
+            continue
+        scale = 1e-13 * max(1.0, abs(expected_d) ** 4)
+        assert abs(d[i] - expected_d) <= _tolerance(ctx, "d", z, expected_d), z
+        assert abs(sc[i] - sc_product(ctx, z)) <= 1e-13 * max(1.0, abs(sc[i])), z
+        assert abs(cubic[i] - cubic_relation_residual(ctx, z)) <= scale, z
+        assert abs(ode[i] - d_ode_residual(ctx, z)) <= scale, z
+    # the cell corners are lattice points; rows 5 and 10 hold +-(2/3) iK' mod 2iK'
+    assert (lattice, poles) == (4, 4)

@@ -112,6 +112,16 @@ def test_verify_env_var_tolerance():
     assert result.returncode == 1  # generic-default suite now impossibly strict
 
 
+@pytest.mark.parametrize("text", ["abc", "nan", "-1", "inf"])
+def test_verify_env_var_rejects_bad_tolerance(text):
+    import os
+    env = dict(os.environ, SHEN_DEFAULT_TOL=text)
+    result = run_cli("verify", "--k", "0.5", "--suite", "duplication", env=env)
+    assert result.returncode == 2
+    assert "SHEN_DEFAULT_TOL" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_json_round_trip(tmp_path):
     out = tmp_path / "reports.json"
     result = run_cli("verify", "--k", "0.5", "--suite", "pole", "--json",

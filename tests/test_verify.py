@@ -59,6 +59,18 @@ def test_env_var_overrides_generic_default(monkeypatch):
     assert default_tolerance("pole") == 1e-10
 
 
+@pytest.mark.parametrize("text", ["abc", "nan", "-1", "inf", "0"])
+def test_env_var_must_be_finite_and_positive(monkeypatch, text):
+    monkeypatch.setenv("SHEN_DEFAULT_TOL", text)
+    with pytest.raises(DomainError, match="SHEN_DEFAULT_TOL"):
+        default_tolerance("duplication")
+    with pytest.raises(DomainError):
+        run_suite("duplication", 0.5)
+    # pinned and explicit tolerances never read it
+    assert default_tolerance("pole") == 1e-10
+    assert run_suite("duplication", 0.5, tol=1e-8).tolerance == 1e-8
+
+
 def test_explicit_tol_beats_env(monkeypatch):
     monkeypatch.setenv("SHEN_DEFAULT_TOL", "1e-3")
     report = run_suite("duplication", 0.5, tol=1e-8)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shenell import (DegenerateError, DomainError, Invariants, PoleError,
+from shenell import (DegenerateError, DomainError, Invariants, Lattice, PoleError,
                      ShenContext, duplication_check, exact_invariants,
                      invariants_of_modulus, lattice_of_invariants, phi_of_u,
                      q_with_prime, reduce_to_cell, scd_real, u_of_phi, wp,
@@ -67,6 +67,16 @@ def test_lattice_roots(k):
     for e in (lat.e1, lat.e2, lat.e3):
         assert abs(4.0 * e ** 3 - inv.g2 * e - inv.g3) < 1e-12
     assert lat.K > 0.0 and lat.K_prime > 0.0
+
+
+def test_lattice_value_semantics():
+    # the kernel constants are derived: not an argument, not in ==, hash or repr
+    lat = lattice_of_invariants(invariants_of_modulus(0.5))
+    twin = Lattice(K=lat.K, K_prime=lat.K_prime, e1=lat.e1, e2=lat.e2, e3=lat.e3)
+    assert twin == lat and hash(twin) == hash(lat)
+    assert repr(twin) == (f"Lattice(K={lat.K!r}, K_prime={lat.K_prime!r}, "
+                          f"e1={lat.e1!r}, e2={lat.e2!r}, e3={lat.e3!r})")
+    assert wp_with_prime(0.3 + 0.2j, None, twin) == wp_with_prime(0.3 + 0.2j, None, lat)
 
 
 def test_lattice_rejects_nonpositive_discriminant():
