@@ -13,7 +13,8 @@ parser does not read them as flags. Numeric output uses the shortest
 representation that round-trips a double, so re-emitting parsed output
 reproduces it byte for byte.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error:
+the library checks every input, and main maps its errors to 2.
 The SHEN_DEFAULT_TOL environment variable overrides the generic default
 tolerance (1e-9) of ``verify``; an explicit --tol overrides everything.
 """
@@ -108,12 +109,6 @@ class SampleGrid:
     rows: list
 
 
-def _check_function(name):
-    if name not in BATCH_FUNCTIONS:
-        raise UsageError(f"unknown function {name!r}; choose from "
-                         f"{', '.join(sorted(BATCH_FUNCTIONS))}")
-
-
 def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
     """Sample ``function`` at every re + i im, in vectorised passes.
 
@@ -125,13 +120,17 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
     POLE_EXCLUSION of a lattice point; ``d``, ``s2`` and ``c2`` where
     |Q| = |wp + 1/3| < D_POLE_TOL (8/27) k^2 (d is exactly 1 at lattice
     points); ``sc`` nowhere, so at +-(2/3) iK' it returns a huge finite
-    value (and 0 at lattice points).
+    value (and 0 at lattice points). An unknown ``function`` or more than
+    MAX_GRID_POINTS points raise UsageError, a non-finite point DomainError.
     """
-    _check_function(function)
+    if function not in BATCH_FUNCTIONS:
+        raise UsageError(f"unknown function {function!r}; choose from "
+                         f"{', '.join(sorted(BATCH_FUNCTIONS))}")
+    if len(re_axis) * len(im_axis) > MAX_GRID_POINTS:
+        raise UsageError(f"grid of {len(re_axis)} x {len(im_axis)} points is over "
+                         f"the cap of {MAX_GRID_POINTS}")
     re = np.asarray(re_axis, dtype=float)
     im = np.asarray(im_axis, dtype=float)
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise UsageError("grid coordinates must be finite")
     ctx = cached_context(k)
     z = np.empty((im.size, re.size), dtype=complex)
     z.real = re
@@ -149,20 +148,17 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
                       im_axis=list(im_axis), rows=rows)
 
 
-def sample_grid_to_csv(grid: SampleGrid) -> str:
-    """The grid's rows as CSV; a finite float's repr never needs quoting.
-
-    Rows run over the axes, so each axis value is formatted once; a grid
-    whose axes do not match its rows (as from ``rows_to_csv``) is not.
-    """
-    if len(grid.rows) == len(grid.re_axis) * len(grid.im_axis):
-        re_text = [fmt(x) for x in grid.re_axis]
-        coords = (f"{x},{y}" for y in map(fmt, grid.im_axis) for x in re_text)
-    else:
-        coords = (f"{fmt(re)},{fmt(im)}" for re, im, *_ in grid.rows)
+def _csv_text(coords, rows):
+    # rows as CSV, "re_z,im_z" from coords; a finite float's repr needs no quoting
     return _CSV_HEADER + "".join(
         f"{xy},,,1\n" if pole else f"{xy},{fmt(ref)},{fmt(imf)},0\n"
-        for xy, (_, _, ref, imf, pole) in zip(coords, grid.rows))
+        for xy, (_, _, ref, imf, pole) in zip(coords, rows))
+
+
+def sample_grid_to_csv(grid: SampleGrid) -> str:
+    """The grid's rows as CSV, each axis value formatted once."""
+    re_text = [fmt(x) for x in grid.re_axis]
+    return _csv_text((f"{x},{y}" for y in map(fmt, grid.im_axis) for x in re_text), grid.rows)
 
 
 def sample_grid_rows_from_csv(text: str):
@@ -182,8 +178,7 @@ def sample_grid_rows_from_csv(text: str):
 
 
 def rows_to_csv(rows) -> str:
-    grid = SampleGrid(k=0.0, function="", re_axis=[], im_axis=[], rows=rows)
-    return sample_grid_to_csv(grid)
+    return _csv_text((f"{fmt(re)},{fmt(im)}" for re, im, *_ in rows), rows)
 
 
 def sample_grid_to_json(grid: SampleGrid) -> str:
@@ -283,7 +278,6 @@ def cmd_periods(args) -> int:
 
 def cmd_eval(args) -> int:
     k = _single_k(args)
-    _check_function(args.fn)
     re_axis = parse_grid(args.real if args.real is not None else "0")
     im_axis = parse_grid(args.imag if args.imag is not None else "0")
     if len(re_axis) != 1 or len(im_axis) != 1:
@@ -303,16 +297,9 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     ks = parse_k_list(args.k)
-    if args.suite == "all":
-        names = available_suites()
-    else:
-        names = [part for part in args.suite.split(",") if part != ""]
-        unknown = [n for n in names if n not in available_suites()]
-        if unknown or not names:
-            raise UsageError(f"unknown suite {','.join(unknown) or args.suite!r}; "
-                             f"choose from all, {', '.join(available_suites())}")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise UsageError(f"--tol must be finite and positive, got {args.tol!r}")
+    names = available_suites() if args.suite == "all" else [p for p in args.suite.split(",") if p]
+    if not names:
+        raise UsageError(f"empty suite list {args.suite!r}")
     reports = run_suites(names, ks, tol=args.tol)
     text = reports_to_json(reports) if args.json else reports_to_text(reports)
     _emit(text, args.out)
@@ -325,9 +312,6 @@ def cmd_sample(args) -> int:
         raise UsageError("sample needs --real and/or --imag grid specs")
     re_axis = parse_grid(args.real if args.real is not None else "0")
     im_axis = parse_grid(args.imag if args.imag is not None else "0")
-    if len(re_axis) * len(im_axis) > MAX_GRID_POINTS:
-        raise UsageError(f"grid of {len(re_axis)} x {len(im_axis)} points is over "
-                         f"the cap of {MAX_GRID_POINTS}")
     grid = build_sample_grid(k, args.fn, re_axis, im_axis)
     text = sample_grid_to_json(grid) if args.json else sample_grid_to_csv(grid)
     _emit(text, args.out)
@@ -347,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
         if fn:
             p.add_argument("--fn", default="d",
-                           help="function: d, s2, c2, sc or wp")
+                           help=f"function: {', '.join(BATCH_FUNCTIONS)}")
             p.add_argument("--real", default=None,
                            help="real axis: start:step:stop or a number")
             p.add_argument("--imag", default=None,

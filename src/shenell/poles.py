@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exceptions import ClassificationError, DomainError
+from .exceptions import ClassificationError
 from .field import ShenContext, q_with_prime
 from .weierstrass import Invariants, Modulus, _check_modulus, exact_invariants
 
@@ -117,11 +117,9 @@ def factorization_check(k2) -> bool:
     Expands both sides (and the expected rescaled coefficients
     w^4 - (2/3)(9 - 8k^2) w^2 - (8/27)(8k^4 - 36k^2 + 27) w
     - (1/27)(9 - 8k^2)^2) in rational arithmetic and compares all five
-    coefficients; no tolerance is involved.
+    coefficients; no tolerance is involved. DomainError unless 0 < k2 < 1.
     """
     k2 = Fraction(k2)
-    if not 0 < k2 < 1:
-        raise DomainError(f"squared modulus out of range (0, 1): k^2={k2}")
     f = quartic_f(invariants_exact(k2))
     lhs = f.with_argument_scaled(Fraction(1, 3)).scaled(Fraction(27, 4))
     rescaled = RationalPoly([

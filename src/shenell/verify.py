@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .field import (_s2_of_d, _substitution_residual, cached_context,
+from .field import (_d_of_q, _s2_of_d, _substitution_residual, cached_context,
                     cubic_relation_residual, d_complex, d_ode_residual, pole_order_slope,
                     q_with_prime, s_squared, sc_product)
 from .phase import phi_of_u, scd_real, u_max, u_of_phi
@@ -45,12 +45,6 @@ class VerificationReport:
     max_residual: float
     tolerance: float
     passed: bool
-
-
-def _report(name, k, samples, max_residual, tolerance):
-    return VerificationReport(identity_name=name, k=k, samples=samples,
-                              max_residual=max_residual, tolerance=tolerance,
-                              passed=max_residual < tolerance)
 
 
 def _rng(name, k):
@@ -150,7 +144,8 @@ def _suite_substitution_chain(k):
         return (np.abs(1.0 - d) > 1e-3 * k) & (np.abs(d) <= 50.0)
 
     zs = _sample_cell(ctx, _rng("substitution-chain", k), 10, accept)
-    residual = _substitution_residual(ctx, 1.0 - d_complex(ctx, zs), q_with_prime(ctx, zs)[0])
+    q = q_with_prime(ctx, zs)[0]  # zs avoid the pole disc: d is _d_of_q(q) there
+    residual = _substitution_residual(ctx, 1.0 - _d_of_q(ctx, q), q)
     return 20, float(np.max(residual, initial=worst))
 
 
@@ -212,43 +207,57 @@ def available_suites():
     return sorted(SUITES)
 
 
+def _suite(name):
+    # the one suite-name rule: (runner, pinned tolerance), else DomainError
+    try:
+        return SUITES[name]
+    except KeyError:
+        raise DomainError(f"unknown suite {name!r}; choose from "
+                          f"{', '.join(available_suites())}") from None
+
+
+def _tolerance(value, source):
+    # the one tolerance rule: a finite number > 0, else DomainError naming its source
+    try:
+        if math.isfinite(tol := float(value)) and tol > 0.0:
+            return tol
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{source} must be a finite positive number, got {value!r}")
+
+
 def default_tolerance(name: str) -> float:
     """The tolerance used for ``name`` when none is given explicitly.
 
     Raises DomainError for an unknown suite, and for a SHEN_DEFAULT_TOL
     that is not a finite positive number where it applies.
     """
-    try:
-        pinned = SUITES[name][1]
-    except KeyError:
-        raise DomainError(f"unknown suite {name!r}; choose from "
-                          f"{', '.join(available_suites())}") from None
+    pinned = _suite(name)[1]
     if pinned is not None:
         return pinned
-    text = os.environ.get(_ENV_VAR, repr(GENERIC_DEFAULT_TOL))
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{_ENV_VAR} must be a finite positive number, got {text!r}")
-    return value
+    return _tolerance(os.environ.get(_ENV_VAR, repr(GENERIC_DEFAULT_TOL)), _ENV_VAR)
 
 
 def run_suite(name: str, k: float, tol: float = None) -> VerificationReport:
-    """Run one identity suite at modulus ``k`` and report the worst residual."""
-    if name not in SUITES:
-        raise DomainError(f"unknown suite {name!r}; choose from "
-                          f"{', '.join(available_suites())}")
+    """Run one identity suite at modulus ``k`` and report the worst residual.
+
+    A bad name, ``k`` or tolerance (``tol`` finite, > 0) raises DomainError first.
+    """
+    runner = _suite(name)[0]
     _check_modulus(k)
-    tolerance = float(tol) if tol is not None else default_tolerance(name)
-    runner = SUITES[name][0]
+    tolerance = _tolerance(tol, "tol") if tol is not None else default_tolerance(name)
     samples, worst = runner(k)
-    return _report(name, k, samples, worst, tolerance)
+    return VerificationReport(identity_name=name, k=k, samples=samples, max_residual=worst,
+                              tolerance=tolerance, passed=worst < tolerance)
 
 
 def run_suites(names, ks, tol: float = None):
-    """Reports for every (suite, k) pair, sorted by suite name then k."""
+    """Reports for every (suite, k) pair, sorted by suite name then k.
+
+    Every name is checked (DomainError) before the first suite runs.
+    """
+    for name in names:
+        _suite(name)
     reports = [run_suite(name, k, tol) for name in names for k in ks]
     reports.sort(key=lambda r: (r.identity_name, r.k))
     return reports

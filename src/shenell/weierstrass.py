@@ -216,8 +216,9 @@ def _theta_quotients(w, nome: Nome, sin, cos):
 def _wp_minus_root(z, lat: Lattice, pole_tol: float = POLE_EXCLUSION):
     """(wp(z) - e, wp'(z)), where e is e3, or e1 when ``lat.nome.rotated``.
 
-    A number z within ``pole_tol`` of a lattice point raises PoleError,
-    a non-finite one DomainError; in an ndarray z such points are nan.
+    A non-finite z, or an ndarray holding one, raises DomainError before
+    the cell reduction. A number within ``pole_tol`` of a lattice point
+    raises PoleError; in an ndarray such points, and only they, are nan.
     """
     if not isinstance(z, np.ndarray):
         w = reduce_to_cell(z, lat)
@@ -225,6 +226,8 @@ def _wp_minus_root(z, lat: Lattice, pole_tol: float = POLE_EXCLUSION):
             raise PoleError(f"z={z!r} is within {pole_tol} of a lattice point")
         return _theta_quotients(w, lat.nome, cmath.sin, cmath.cos)
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise DomainError("z holds a non-finite entry")
     w = np.empty(z.shape, dtype=complex)
     # round half to even, like round() in reduce_to_cell
     w.real = z.real - 2.0 * lat.K * np.round(z.real / (2.0 * lat.K))
@@ -251,8 +254,8 @@ def wp_with_prime(z, inv: Invariants, lat: Lattice,
                   pole_tol: float = POLE_EXCLUSION) -> tuple:
     """(wp(z), wp'(z)) from theta quotients; ``inv`` is not read again.
 
-    z may be a number or an ndarray. A number within ``pole_tol`` of a
-    lattice point raises PoleError; in an array such points are nan.
+    z is a number or an ndarray, finite throughout, else DomainError. A number
+    within ``pole_tol`` of a lattice point raises PoleError; an array has nan.
     """
     part, dp = _wp_minus_root(z, lat, pole_tol)
     return (lat.e1 if lat.nome.rotated else lat.e3) + part, dp

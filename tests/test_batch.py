@@ -7,16 +7,17 @@ by the rounding of numpy's complex sin, cos and exp against cmath's.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shenell import (D_POLE_TOL, PoleError, ShenContext, c_squared, cubic_relation_residual,
-                     d_complex, d_ode_residual, q_with_prime, s_squared, sc_product,
-                     wp_with_prime)
-from shenell.cli import build_sample_grid
+from shenell import (D_POLE_TOL, DomainError, PoleError, ShenContext, c_squared,
+                     cubic_relation_residual, d_complex, d_ode_residual, q_with_prime,
+                     s_squared, sc_product, wp_with_prime)
+from shenell.cli import MAX_GRID_POINTS, UsageError, build_sample_grid
 from helpers import wp_oracle_factory
 
 # relative error allowed against the scalar path and the oracle. Over 1800
@@ -239,3 +240,31 @@ def test_field_functions_take_arrays_by_the_scalar_pole_rules(k):
         assert abs(ode[i] - d_ode_residual(ctx, z)) <= scale, z
     # the cell corners are lattice points; rows 5 and 10 hold +-(2/3) iK' mod 2iK'
     assert (lattice, poles) == (4, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_arrays_with_a_non_finite_entry_raise_domain_error(context_for, bad):
+    # the kernel refuses the whole array before the cell reduction, with no
+    # numpy warning, so nan in a result only ever marks a lattice point
+    ctx = context_for(0.5)
+    functions = [lambda z: wp_with_prime(z, ctx.inv, ctx.lat), lambda z: q_with_prime(ctx, z),
+                 lambda z: d_complex(ctx, z), lambda z: sc_product(ctx, z),
+                 lambda z: d_ode_residual(ctx, z)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zs in (np.array([0.3 + 0.2j, complex(bad, 0.1)]), np.array([complex(0.7, bad)])):
+            for f in functions:
+                with pytest.raises(DomainError):
+                    f(zs)
+        for re_axis, im_axis in (([0.3, bad], [0.2]), ([0.3], [0.2, bad])):
+            with pytest.raises(DomainError):
+                build_sample_grid(0.5, "d", re_axis, im_axis)
+
+
+def test_sample_grid_caps_points():
+    side = int(MAX_GRID_POINTS ** 0.5) + 1
+    axis = [0.001 * i for i in range(side)]
+    with pytest.raises(UsageError, match="cap"):
+        build_sample_grid(0.5, "d", axis, axis)
+    with pytest.raises(UsageError, match="unknown function"):
+        build_sample_grid(0.5, "bogus", [0.3], [0.2])

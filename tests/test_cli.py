@@ -84,6 +84,14 @@ def test_verify_unknown_suite_exit_2():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("suites", ["pole,bogus", ","])
+def test_verify_bad_suite_list_exit_2(suites):
+    result = run_cli("verify", "--k", "0.5", "--suite", suites)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_failure_exit_1():
     result = run_cli("verify", "--k", "0.5", "--suite", "pole", "--tol", "1e-30")
     assert result.returncode == 1

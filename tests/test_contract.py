@@ -1,0 +1,87 @@
+"""The public contract: tests reach the package only through public names.
+
+Everything behind ``shenell.__all__`` and the public names of its modules
+is free to change, which holds only while no test imports a private name
+or reads one off a module.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import shenell
+
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _is_module(name):
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+def _dotted(node):
+    # "a.b.c" for a chain of names and attributes, else None
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def private_uses(source):
+    """Each private name that ``source`` imports from, or reads off, a shenell module."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> dotted name of the shenell module bound to it
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "shenell":
+                    modules[alias.asname or "shenell"] = alias.name if alias.asname else "shenell"
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and (node.module or "").split(".")[0] == "shenell"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{node.module}.{alias.name}")
+                elif _is_module(f"{node.module}.{alias.name}"):
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            base = _dotted(node.value)
+            if base is None or base.split(".")[0] not in modules:
+                continue
+            root, _, rest = base.partition(".")
+            module = modules[root] + (f".{rest}" if rest else "")
+            if _is_module(module):
+                found.append(f"{module}.{node.attr}")
+    return found
+
+
+def test_no_test_uses_a_private_name():
+    assert len(TEST_FILES) > 5
+    found = {path.name: private_uses(path.read_text()) for path in TEST_FILES}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_checker_sees_private_uses():
+    source = ("import shenell\nimport shenell.verify as v\nfrom shenell import cli, field\n"
+              "from shenell.field import _d_of_q, d_complex\n"
+              "cli._CHUNK, v._suite, shenell.weierstrass._agm, field.__doc__, cli.main\n"
+              "ctx = None\nctx._private\n")
+    assert sorted(private_uses(source)) == ["shenell.cli._CHUNK", "shenell.field._d_of_q",
+                                            "shenell.verify._suite",
+                                            "shenell.weierstrass._agm"]
+
+
+def test_all_names_resolve_once():
+    assert len(set(shenell.__all__)) == len(shenell.__all__)
+    missing = [name for name in shenell.__all__ if not hasattr(shenell, name)]
+    assert missing == []

@@ -1,8 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
-from shenell import (DomainError, available_suites, default_tolerance,
+from shenell import (SUITES, DomainError, available_suites, default_tolerance,
                      run_suite, run_suites)
+
+
+@pytest.fixture
+def pole_calls(monkeypatch):
+    """The moduli at which the ``pole`` suite's runner has run, from now on."""
+    calls = []
+    runner, pinned = SUITES["pole"]
+
+    def counted(k):
+        calls.append(k)
+        return runner(k)
+
+    monkeypatch.setitem(SUITES, "pole", (counted, pinned))
+    return calls
 
 
 def test_every_suite_passes_at_default(tmp_path):
@@ -43,6 +59,23 @@ def test_unknown_suite_rejected():
         run_suite("no-such", 0.5)
     with pytest.raises(DomainError):
         default_tolerance("no-such")
+
+
+def test_unknown_suite_rejected_before_any_suite_runs(pole_calls):
+    with pytest.raises(DomainError, match="bogus"):
+        run_suites(["pole", "bogus"], [0.5])
+    assert pole_calls == []
+    run_suites(["pole"], [0.5])
+    assert pole_calls == [0.5]
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_explicit_tolerance_must_be_finite_and_positive(pole_calls, tol):
+    with pytest.raises(DomainError, match="tol"):
+        run_suite("pole", 0.5, tol=tol)
+    with pytest.raises(DomainError, match="tol"):
+        run_suites(["pole"], [0.5], tol=tol)
+    assert pole_calls == []
 
 
 def test_bad_modulus_rejected():
