@@ -121,7 +121,8 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
     |Q| = |wp + 1/3| < D_POLE_TOL (8/27) k^2 (d is exactly 1 at lattice
     points); ``sc`` nowhere, so at +-(2/3) iK' it returns a huge finite
     value (and 0 at lattice points). An unknown ``function`` or more than
-    MAX_GRID_POINTS points raise UsageError, a non-finite point DomainError.
+    MAX_GRID_POINTS points raise UsageError; a point that ``reduce_to_cell``
+    refuses (non-finite, or 2^26 periods or more out) raises DomainError.
     """
     if function not in BATCH_FUNCTIONS:
         raise UsageError(f"unknown function {function!r}; choose from "

@@ -204,12 +204,14 @@ def substitution_chain_check(ctx: ShenContext, z) -> float:
     Exercises the change of variables r = 1/(1 - d), q = (4 k^2 / 9) r,
     p = q - 1/3 against a direct evaluation, as |q - Q(z)|; the constants
     enter the two paths independently, so a wrong coefficient in either
-    one shows up here. Raises DegenerateError where d(z) = 1 (lattice points).
+    one shows up here. Raises DegenerateError where d(z) = 1 (lattice points,
+    where Q is infinite) and PoleError at the poles of d, as ``d_complex``.
     """
-    d = d_complex(ctx, z)
-    if abs(1.0 - d) < _UNIT_TOL:
+    q = _by_pole_rules(ctx, z, lambda q, _: q, math.inf)
+    one_minus_d = 1.0 - _d_of_q(ctx, q)
+    if abs(one_minus_d) < _UNIT_TOL:
         raise DegenerateError(f"d(z) = 1 at z={z!r}; the substitution degenerates")
-    return _substitution_residual(ctx, 1.0 - d, q_with_prime(ctx, z)[0])
+    return _substitution_residual(ctx, one_minus_d, q)
 
 
 def pole_order_slope(f, z0, radii=None, direction=1.0) -> float:

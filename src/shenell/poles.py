@@ -10,8 +10,10 @@ whose rescaling (27/4) f(w/3) factors as (w + 1) times a cubic with one
 positive real root and a conjugate pair. Since wp is strictly negative
 on (0, iK'), the only root available to b is -1/3.
 
-Polynomial identities here are checked in exact rational arithmetic;
-the transcendental value wp((2/3) i K') is certified in floating point.
+Polynomial identities here are checked exactly, on integer coefficients
+cleared of 27 d^2 for k^2 = n / d; ``RationalPoly`` and its builders stay
+as the public rational forms. The transcendental value wp((2/3) i K') is
+certified in floating point.
 """
 
 import math
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 from .exceptions import ClassificationError
 from .field import ShenContext, q_with_prime
-from .weierstrass import Invariants, Modulus, _check_modulus, exact_invariants
+from .weierstrass import Invariants, Modulus, _check_modulus, _invariant_ratios, exact_invariants
 
 
 class RationalPoly:
@@ -88,8 +90,7 @@ class RationalPoly:
 
 def invariants_exact(k2) -> Invariants:
     """Invariants carrying exact Fraction fields, for proof-grade checks."""
-    g2, g3, delta = exact_invariants(k2)
-    return Invariants(g2=g2, g3=g3, delta=delta)
+    return Invariants(*exact_invariants(k2))
 
 
 def quartic_f(inv: Invariants) -> RationalPoly:
@@ -105,6 +106,11 @@ def quartic_f(inv: Invariants) -> RationalPoly:
     return RationalPoly([-g2 * g2 / 4, -12 * g3, -6 * g2, 0, 12])
 
 
+def _cubic_numerators(n, d):
+    # 27 d^2 times cubic_factor at k^2 = n / d, constant term first
+    return (-(9 * d - 8 * n) ** 2, 9 * d * (16 * n - 15 * d), -27 * d * d, 27 * d * d)
+
+
 def cubic_factor(k2) -> RationalPoly:
     """The cubic w^3 - w^2 + (16 k^2 - 15)/3 w - (9 - 8 k^2)^2 / 27."""
     k2 = Fraction(k2)
@@ -114,22 +120,24 @@ def cubic_factor(k2) -> RationalPoly:
 def factorization_check(k2) -> bool:
     """Exact check that (27/4) f(w/3) = (w + 1) * cubic_factor(k2).
 
-    Expands both sides (and the expected rescaled coefficients
-    w^4 - (2/3)(9 - 8k^2) w^2 - (8/27)(8k^4 - 36k^2 + 27) w
-    - (1/27)(9 - 8k^2)^2) in rational arithmetic and compares all five
-    coefficients; no tolerance is involved. DomainError unless 0 < k2 < 1.
+    With k^2 = n / d exactly, both sides times 27 d^2 have integer
+    coefficients: the left side from the numerators of g2 and g3 by exact
+    divisions (a remainder fails the check), compared in all five places
+    with the expected w^4 - (2/3)(9 - 8k^2) w^2 - (8/27)(8k^4 - 36k^2 + 27) w
+    - (1/27)(9 - 8k^2)^2 and with the right side. DomainError unless 0 < k2 < 1.
     """
-    k2 = Fraction(k2)
-    f = quartic_f(invariants_exact(k2))
-    lhs = f.with_argument_scaled(Fraction(1, 3)).scaled(Fraction(27, 4))
-    rescaled = RationalPoly([
-        -Fraction(1, 27) * (9 - 8 * k2) ** 2,
-        -Fraction(8, 27) * (8 * k2 * k2 - 36 * k2 + 27),
-        -Fraction(2, 3) * (9 - 8 * k2),
-        0,
-        1,
-    ])
-    rhs = RationalPoly([1, 1]) * cubic_factor(k2)
+    n, d = Fraction(k2).as_integer_ratio()
+    (g2, g2_den), (g3, g3_den), _ = _invariant_ratios(n, d)
+    scale = 27 * d * d
+    terms = (divmod(27 * scale * g2 * g2, 16 * g2_den * g2_den),
+             divmod(27 * scale * g3, g3_den), divmod(9 * scale * g2, 2 * g2_den))
+    if any(remainder for _, remainder in terms):
+        return False
+    lhs = tuple(-quotient for quotient, _ in terms) + (0, scale)
+    a = 9 * d - 8 * n
+    rescaled = (-a * a, -8 * (8 * n * n - 36 * n * d + 27 * d * d), -18 * d * a, 0, 27 * d * d)
+    cubic = _cubic_numerators(n, d)
+    rhs = tuple(low + high for low, high in zip(cubic + (0,), (0,) + cubic))
     return lhs == rescaled and lhs == rhs
 
 
@@ -143,20 +151,18 @@ def cubic_discriminant(k: Modulus) -> DiscriminantPair:
 
     ``formula`` is -(4096/27) k^4 (1 - k^2)^2; ``from_coefficients`` is
     the textbook discriminant 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2 of
-    the monic cubic. Both routes run in exact rational arithmetic from
-    the binary value of ``k`` (the coefficient route loses ~5 digits to
-    cancellation in floats near k = 0.1) and round once at the end.
-    Negative for every k in (0, 1): the cubic has just one real zero.
+    the monic cubic. Both routes are one integer numerator over one integer
+    denominator in k^2 = n / d, the binary value of ``k`` (the coefficient
+    route loses ~5 digits to cancellation in floats near k = 0.1), and
+    round once. Negative for every k in (0, 1): one real zero.
     """
     _check_modulus(k)
-    k2 = Fraction(k) ** 2
-    a = Fraction(-1)
-    b = (16 * k2 - 15) / 3
-    c = -((9 - 8 * k2) ** 2) / 27
-    coeff_route = (18 * a * b * c - 4 * a ** 3 * c + a * a * b * b
-                   - 4 * b ** 3 - 27 * c * c)
-    formula = -Fraction(4096, 27) * k2 ** 2 * (1 - k2) ** 2
-    return DiscriminantPair(float(formula), float(coeff_route))
+    n, d = (part * part for part in k.as_integer_ratio())  # k^2 = n / d
+    c, b, _, scale = _cubic_numerators(n, d)
+    coeff_route = (-18 * b * c * scale + 4 * c * scale * scale + b * b * scale
+                   - 4 * b ** 3 - 27 * c * c * scale)
+    formula = -4096 * n * n * (d - n) ** 2 / (27 * d ** 4)
+    return DiscriminantPair(formula, coeff_route / scale ** 3)
 
 
 @dataclass(frozen=True)

@@ -254,10 +254,13 @@ def run_suite(name: str, k: float, tol: float = None) -> VerificationReport:
 def run_suites(names, ks, tol: float = None):
     """Reports for every (suite, k) pair, sorted by suite name then k.
 
-    Every name is checked (DomainError) before the first suite runs.
+    Every name, and an explicit ``tol``, is checked (DomainError) before
+    the first suite runs, even when there is nothing to run.
     """
     for name in names:
         _suite(name)
+    if tol is not None:
+        _tolerance(tol, "tol")
     reports = [run_suite(name, k, tol) for name in names for k in ks]
     reports.sort(key=lambda r: (r.identity_name, r.k))
     return reports

@@ -30,6 +30,8 @@ Modulus = float
 #: Default radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
 
+_MAX_PERIODS = 2.0 ** 26  # reduce_to_cell refuses z this many periods or more from the origin
+
 # wp' below this marks a half-period, where the duplication formula degenerates
 _HALF_PERIOD_TOL = 1e-8
 
@@ -80,15 +82,18 @@ def _check_modulus(k: float) -> None:
         raise DomainError(f"modulus out of range (0, 1): k={k!r}")
 
 
+def _invariant_ratios(n, d):
+    """(numerator, denominator) of g2, g3 and delta at k^2 = n / d; DomainError unless 0 < n < d."""
+    if not 0 < n < d:
+        raise DomainError(f"squared modulus out of range (0, 1): k^2={Fraction(n, d)}")
+    return ((4 * (9 * d - 8 * n), 27 * d),
+            (8 * (8 * n * n - 36 * n * d + 27 * d * d), 729 * d * d),
+            (4096 * n ** 3 * (d - n), 19683 * d ** 4))
+
+
 def exact_invariants(k2):
     """g2, g3, delta as exact rationals in the squared modulus ``k2``."""
-    k2 = Fraction(k2)
-    if not 0 < k2 < 1:
-        raise DomainError(f"squared modulus out of range (0, 1): k^2={k2}")
-    g2 = Fraction(4, 27) * (9 - 8 * k2)
-    g3 = Fraction(8, 729) * (8 * k2 * k2 - 36 * k2 + 27)
-    delta = Fraction(4096, 19683) * k2 ** 3 * (1 - k2)
-    return g2, g3, delta
+    return tuple(Fraction(p, q) for p, q in _invariant_ratios(*Fraction(k2).as_integer_ratio()))
 
 
 def invariants_of_modulus(k: Modulus) -> Invariants:
@@ -101,10 +106,7 @@ def invariants_of_modulus(k: Modulus) -> Invariants:
     """
     _check_modulus(k)
     n, d = k.as_integer_ratio()
-    n2, d2 = n * n, d * d
-    return Invariants(g2=4 * (9 * d2 - 8 * n2) / (27 * d2),
-                      g3=8 * (8 * n2 * n2 - 36 * n2 * d2 + 27 * d2 * d2) / (729 * d2 * d2),
-                      delta=4096 * n2 ** 3 * (d2 - n2) / (19683 * d2 ** 4))
+    return Invariants(*[p / q for p, q in _invariant_ratios(n * n, d * d)])
 
 
 def _agm(a, b):
@@ -216,45 +218,50 @@ def _theta_quotients(w, nome: Nome, sin, cos):
 def _wp_minus_root(z, lat: Lattice, pole_tol: float = POLE_EXCLUSION):
     """(wp(z) - e, wp'(z)), where e is e3, or e1 when ``lat.nome.rotated``.
 
-    A non-finite z, or an ndarray holding one, raises DomainError before
-    the cell reduction. A number within ``pole_tol`` of a lattice point
-    raises PoleError; in an ndarray such points, and only they, are nan.
+    z is reduced to the cell first (DomainError as in ``reduce_to_cell``).
+    A number within ``pole_tol`` of a lattice point raises PoleError; in an
+    ndarray such points, and only they, are nan.
     """
-    if not isinstance(z, np.ndarray):
-        w = reduce_to_cell(z, lat)
+    w = reduce_to_cell(z, lat)
+    if not isinstance(w, np.ndarray):
         if abs(w) < pole_tol:
             raise PoleError(f"z={z!r} is within {pole_tol} of a lattice point")
         return _theta_quotients(w, lat.nome, cmath.sin, cmath.cos)
-    z = np.asarray(z, dtype=complex)
-    if not np.isfinite(z).all():
-        raise DomainError("z holds a non-finite entry")
-    w = np.empty(z.shape, dtype=complex)
-    # round half to even, like round() in reduce_to_cell
-    w.real = z.real - 2.0 * lat.K * np.round(z.real / (2.0 * lat.K))
-    w.imag = z.imag - 2.0 * lat.K_prime * np.round(z.imag / (2.0 * lat.K_prime))
     pole = np.abs(w) < pole_tol
     with np.errstate(all="ignore"):
         part, dp = _theta_quotients(w, lat.nome, np.sin, np.cos)
     return np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
 
 
-def reduce_to_cell(z, lat: Lattice) -> complex:
-    """Translate z by lattice vectors into the cell [-K, K] x [-K', K'].
+def reduce_to_cell(z, lat: Lattice):
+    """Translate z, a number or an ndarray, by lattice vectors into the cell [-K, K] x [-K', K'].
 
-    Raises DomainError for a non-finite z, which has no place in the cell.
+    z - 2K round(z / 2K) loses a bit of the result per doubling of the
+    period count, so DomainError unless |Re z| / 2K and |Im z| / 2K' are
+    below 2^26, which keeps 26 of the 53 bits; a non-finite z fails too.
+    An ndarray is refused whole, before anything is reduced, if any entry fails.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"z={z!r} is not finite")
-    return complex(z.real - 2.0 * lat.K * round(z.real / (2.0 * lat.K)),
-                   z.imag - 2.0 * lat.K_prime * round(z.imag / (2.0 * lat.K_prime)))
+    array = isinstance(z, np.ndarray)
+    z = np.asarray(z, dtype=complex) if array else complex(z)
+    m, n = z.real / (2.0 * lat.K), z.imag / (2.0 * lat.K_prime)
+    placed = (abs(m) < _MAX_PERIODS) & (abs(n) < _MAX_PERIODS)
+    if not (placed.all() if array else placed):
+        raise DomainError(f"{'an entry of z' if array else f'z={z!r}'} is not finite or lies "
+                          "2^26 periods or more from the origin")
+    if not array:
+        return complex(z.real - 2.0 * lat.K * round(m), z.imag - 2.0 * lat.K_prime * round(n))
+    w = np.empty(z.shape, dtype=complex)
+    # round half to even, like round() for numbers
+    w.real = z.real - 2.0 * lat.K * np.round(m)
+    w.imag = z.imag - 2.0 * lat.K_prime * np.round(n)
+    return w
 
 
 def wp_with_prime(z, inv: Invariants, lat: Lattice,
                   pole_tol: float = POLE_EXCLUSION) -> tuple:
     """(wp(z), wp'(z)) from theta quotients; ``inv`` is not read again.
 
-    z is a number or an ndarray, finite throughout, else DomainError. A number
+    z is a number or an ndarray that ``reduce_to_cell`` accepts, else DomainError. A number
     within ``pole_tol`` of a lattice point raises PoleError; an array has nan.
     """
     part, dp = _wp_minus_root(z, lat, pole_tol)

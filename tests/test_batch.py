@@ -242,6 +242,23 @@ def test_field_functions_take_arrays_by_the_scalar_pole_rules(k):
     assert (lattice, poles) == (4, 4)
 
 
+@pytest.mark.parametrize("huge", [1e16, 1e17, 1e300])
+def test_numbers_and_arrays_too_far_out_raise_domain_error(context_for, huge):
+    # the cell reduction has too few digits left to place such z: a number at
+    # 1e17 was taken for a lattice point (d exactly 1), an array entry 1e300 too
+    ctx = context_for(0.5)
+    functions = [lambda z: wp_with_prime(z, ctx.inv, ctx.lat), lambda z: q_with_prime(ctx, z),
+                 lambda z: d_complex(ctx, z), lambda z: sc_product(ctx, z),
+                 lambda z: d_ode_residual(ctx, z), lambda z: cubic_relation_residual(ctx, z)]
+    for z in (huge, complex(0.3, huge), np.array([0.3 + 0.2j, huge]),
+              np.array([complex(0.7, -huge)])):
+        for f in functions:
+            with pytest.raises(DomainError):
+                f(z)
+    with pytest.raises(DomainError):
+        build_sample_grid(0.5, "d", [0.3, huge], [0.2])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_arrays_with_a_non_finite_entry_raise_domain_error(context_for, bad):
     # the kernel refuses the whole array before the cell reduction, with no

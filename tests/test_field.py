@@ -196,6 +196,13 @@ def test_substitution_chain_degenerate_at_lattice(context_for):
         substitution_chain_check(context_for(0.5), 0.0)
 
 
+def test_substitution_chain_pole_error_at_pole_of_d(context_for):
+    ctx = context_for(0.5)
+    for z in (_d_pole(ctx), -_d_pole(ctx), _d_pole(ctx) + 2.0 * ctx.lat.K):
+        with pytest.raises(PoleError):
+            substitution_chain_check(ctx, z)
+
+
 def test_substitution_leading_behavior(context_for):
     # p(u) has the same 1/u^2 leading behavior as wp at the origin
     ctx = context_for(0.5)

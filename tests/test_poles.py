@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -93,9 +94,45 @@ def test_factorization_random_rationals():
         count += 1
 
 
-def test_factorization_domain_error():
-    with pytest.raises(DomainError):
-        factorization_check(Fraction(3, 2))
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 0, 1, 1.0, -0.25, Fraction(-1, 4), 2])
+def test_factorization_domain_error(bad):
+    with pytest.raises(DomainError, match="squared modulus"):
+        factorization_check(bad)
+    with pytest.raises(DomainError, match="squared modulus"):
+        invariants_exact(bad)
+
+
+# binary squared moduli: k log-spaced over [1e-6, 0.5] and 1 - k over [1e-9, 0.5]
+EXACT_MODULI = ([float(k) for k in np.geomspace(1e-6, 0.5, 300)]
+                + [1.0 - float(q) for q in np.geomspace(1e-9, 0.5, 250)])
+
+
+def _small_rationals(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        q = int(rng.integers(2, 5000))
+        out.append(Fraction(int(rng.integers(1, q)), q))
+    return out
+
+
+def _factorization_by_expansion(k2):
+    # the identity expanded in RationalPoly arithmetic from the public pieces
+    lhs = quartic_f(invariants_exact(k2)).with_argument_scaled(Fraction(1, 3))
+    lhs = lhs.scaled(Fraction(27, 4))
+    rescaled = RationalPoly([-(9 - 8 * k2) ** 2 / 27,
+                             -Fraction(8, 27) * (8 * k2 * k2 - 36 * k2 + 27),
+                             -Fraction(2, 3) * (9 - 8 * k2), 0, 1])
+    return lhs == rescaled and lhs == RationalPoly([1, 1]) * cubic_factor(k2)
+
+
+def test_factorization_matches_rational_expansion():
+    squares = [Fraction(k) ** 2 for k in EXACT_MODULI] + _small_rationals(200, 14)
+    for k2 in squares:
+        assert factorization_check(k2) is _factorization_by_expansion(k2) is True, k2
+    # a float k^2 is taken at its exact binary value
+    for k in EXACT_MODULI[::25]:
+        assert factorization_check(k * k) is _factorization_by_expansion(Fraction(k * k))
 
 
 # ---------------------------------------------------------------- discriminant
@@ -111,6 +148,22 @@ def test_discriminant_routes_agree_and_negative(k):
     formula, coeff = cubic_discriminant(k)
     assert formula < 0.0
     assert abs(formula - coeff) <= 1e-12 * abs(formula)
+
+
+def test_discriminant_matches_rational_reference():
+    # both routes in Fraction arithmetic, rounded once: the pair must match bit for bit
+    for k in EXACT_MODULI:
+        k2 = Fraction(k) ** 2
+        b, c = (16 * k2 - 15) / 3, -((9 - 8 * k2) ** 2) / 27
+        coeff = -18 * b * c + 4 * c + b * b - 4 * b ** 3 - 27 * c * c  # a = -1
+        formula = -Fraction(4096, 27) * k2 ** 2 * (1 - k2) ** 2
+        assert cubic_discriminant(k) == (float(formula), float(coeff)), k
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_discriminant_domain_error(bad):
+    with pytest.raises(DomainError, match="modulus"):
+        cubic_discriminant(bad)
 
 
 def test_discriminant_at_08():

@@ -78,6 +78,13 @@ def test_explicit_tolerance_must_be_finite_and_positive(pole_calls, tol):
     assert pole_calls == []
 
 
+@pytest.mark.parametrize("names, ks, tol", [([], [0.5], math.inf), (["pole"], [], math.nan)])
+def test_explicit_tolerance_checked_with_nothing_to_run(pole_calls, names, ks, tol):
+    with pytest.raises(DomainError, match="tol"):
+        run_suites(names, ks, tol=tol)
+    assert run_suites(names, ks, tol=1e-3) == [] and pole_calls == []
+
+
 def test_bad_modulus_rejected():
     with pytest.raises(DomainError):
         run_suite("pole", 1.5)

@@ -53,9 +53,27 @@ def test_invariants_domain_error():
             invariants_of_modulus(bad)
 
 
-def test_exact_invariants_domain_error():
-    with pytest.raises(DomainError):
-        exact_invariants(Fraction(5, 4))
+@pytest.mark.parametrize("bad", [Fraction(5, 4), 0, 1, 1.0, -0.25, Fraction(-1, 4), 2])
+def test_exact_invariants_domain_error(bad):
+    with pytest.raises(DomainError, match="squared modulus"):
+        exact_invariants(bad)
+
+
+def test_exact_invariants_match_the_rational_formulas():
+    # g2, g3, delta written in Fraction arithmetic, independent of the integer
+    # numerators both routes share; the float route is their correct rounding
+    moduli = ([float(k) for k in np.geomspace(1e-6, 0.5, 300)]
+              + [1.0 - float(q) for q in np.geomspace(1e-9, 0.5, 250)])
+    for k in moduli:
+        k2 = Fraction(k) ** 2
+        expected = (Fraction(4, 27) * (9 - 8 * k2),
+                    Fraction(8, 729) * (8 * k2 * k2 - 36 * k2 + 27),
+                    Fraction(4096, 19683) * k2 ** 3 * (1 - k2))
+        assert exact_invariants(k2) == expected, k
+        inv = invariants_of_modulus(k)
+        assert (inv.g2, inv.g3, inv.delta) == tuple(float(x) for x in expected), k
+    for k2 in (Fraction(1, 3), Fraction(17, 101), Fraction(4999, 5000)):
+        assert exact_invariants(k2)[2] == Fraction(4096, 19683) * k2 ** 3 * (1 - k2)
 
 
 @pytest.mark.parametrize("k", K_GRID)
@@ -270,6 +288,25 @@ def test_reduce_to_cell(context_for):
     z = 0.3 + 0.4j
     assert reduce_to_cell(z + 2 * lat.K, lat) == pytest.approx(z, abs=1e-15)
     assert reduce_to_cell(z + 4j * lat.K_prime, lat) == pytest.approx(z, abs=1e-14)
+    # 2^25 periods out the reduction still keeps over 26 bits of the cell
+    far = z + 2 ** 25 * (2 * lat.K + 2j * lat.K_prime)
+    assert reduce_to_cell(far, lat) == pytest.approx(z, abs=2 ** -25)
+    zs = reduce_to_cell(np.array([z, far]), lat)
+    assert zs[0] == reduce_to_cell(z, lat) and zs[1] == reduce_to_cell(far, lat)
+
+
+@pytest.mark.parametrize("z", [1e16, 1e17, 1e300, -1e17, 1e17j, 0.3 - 1e300j])
+def test_huge_z_is_a_domain_error(z, context_for):
+    # z - 2K round(z / 2K) has no digits of the cell left here: at k = 0.5
+    # it put 1e16 at 2, outside [-K, K], and took 1e17 for a lattice point
+    ctx = context_for(0.5)
+    for arg in (z, np.array([0.3 + 0.2j, z])):
+        with pytest.raises(DomainError, match="2\\^26 periods"):
+            reduce_to_cell(arg, ctx.lat)
+        with pytest.raises(DomainError):
+            wp(arg, ctx.inv, ctx.lat)
+        with pytest.raises(DomainError):
+            q_with_prime(ctx, arg)
 
 
 ENTRY_POINTS = {
