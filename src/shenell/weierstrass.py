@@ -60,6 +60,7 @@ class Nome:
     theta1: tuple
     c2: float           # the theta constants at 0 of wp - e and wp'
     c3: complex
+    reach: float        # |z| bound of reduce_to_cell: 2^26 times the shorter period
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,8 @@ def _nome_of_lattice(lat: Lattice) -> Nome:
     # wp(z; L) = -wp(iz; iL), wp'(z; L) = -i wp'(iz; iL)
     turn, sign, cube = (1j, -1.0, -1j) if rotated else (1.0, 1.0, 1.0)
     return Nome(rotated=rotated, scale=s * turn, q=q, theta3=theta3, theta1=theta1,
-                c2=sign * (s * at2 * at3) ** 2, c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2)
+                c2=sign * (s * at2 * at3) ** 2, c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2,
+                reach=_MAX_PERIODS * 2.0 * half)
 
 
 def _theta_quotients(w, nome: Nome, sin, cos):
@@ -237,23 +239,29 @@ def reduce_to_cell(z, lat: Lattice):
     """Translate z, a number or an ndarray, by lattice vectors into the cell [-K, K] x [-K', K'].
 
     z - 2K round(z / 2K) loses a bit of the result per doubling of the
-    period count, so DomainError unless |Re z| / 2K and |Im z| / 2K' are
-    below 2^26, which keeps 26 of the 53 bits; a non-finite z fails too.
-    An ndarray is refused whole, before anything is reduced, if any entry fails.
+    period count, so DomainError unless |z| is below ``lat.nome.reach``,
+    2^26 times the shorter period 2 min(K, K'), which keeps 26 of the 53
+    bits; a non-finite z fails the same comparison. An ndarray is refused
+    whole, before anything is reduced, if any entry fails.
     """
-    array = isinstance(z, np.ndarray)
-    z = np.asarray(z, dtype=complex) if array else complex(z)
-    m, n = z.real / (2.0 * lat.K), z.imag / (2.0 * lat.K_prime)
-    placed = (abs(m) < _MAX_PERIODS) & (abs(n) < _MAX_PERIODS)
-    if not (placed.all() if array else placed):
-        raise DomainError(f"{'an entry of z' if array else f'z={z!r}'} is not finite or lies "
-                          "2^26 periods or more from the origin")
-    if not array:
-        return complex(z.real - 2.0 * lat.K * round(m), z.imag - 2.0 * lat.K_prime * round(n))
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
+        try:
+            size = abs(z)
+        except OverflowError:  # |z| beyond the largest float; numpy gives inf
+            size = math.inf
+        if not size < lat.nome.reach:
+            raise DomainError(f"z={z!r} is not finite or is 2^26 periods or more from the origin")
+        return complex(z.real - 2.0 * lat.K * round(z.real / (2.0 * lat.K)),
+                       z.imag - 2.0 * lat.K_prime * round(z.imag / (2.0 * lat.K_prime)))
+    z = np.asarray(z, dtype=complex)
+    if not abs(z).max(initial=0.0) < lat.nome.reach:
+        raise DomainError("z holds an entry that is not finite or is 2^26 periods or more "
+                          "from the origin")
     w = np.empty(z.shape, dtype=complex)
     # round half to even, like round() for numbers
-    w.real = z.real - 2.0 * lat.K * np.round(m)
-    w.imag = z.imag - 2.0 * lat.K_prime * np.round(n)
+    w.real = z.real - 2.0 * lat.K * np.round(z.real / (2.0 * lat.K))
+    w.imag = z.imag - 2.0 * lat.K_prime * np.round(z.imag / (2.0 * lat.K_prime))
     return w
 
 

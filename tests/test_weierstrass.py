@@ -288,14 +288,15 @@ def test_reduce_to_cell(context_for):
     z = 0.3 + 0.4j
     assert reduce_to_cell(z + 2 * lat.K, lat) == pytest.approx(z, abs=1e-15)
     assert reduce_to_cell(z + 4j * lat.K_prime, lat) == pytest.approx(z, abs=1e-14)
-    # 2^25 periods out the reduction still keeps over 26 bits of the cell
-    far = z + 2 ** 25 * (2 * lat.K + 2j * lat.K_prime)
-    assert reduce_to_cell(far, lat) == pytest.approx(z, abs=2 ** -25)
+    # 2^24 periods out the reduction still keeps over 26 bits of the cell
+    far = z + 2 ** 24 * (2 * lat.K + 2j * lat.K_prime)
+    assert reduce_to_cell(far, lat) == pytest.approx(z, abs=2 ** -26)
     zs = reduce_to_cell(np.array([z, far]), lat)
     assert zs[0] == reduce_to_cell(z, lat) and zs[1] == reduce_to_cell(far, lat)
 
 
-@pytest.mark.parametrize("z", [1e16, 1e17, 1e300, -1e17, 1e17j, 0.3 - 1e300j])
+@pytest.mark.parametrize("z", [1e16, 1e17, 1e300, -1e17, 1e17j, 0.3 - 1e300j,
+                               complex(1.7e308, -1.7e308)])
 def test_huge_z_is_a_domain_error(z, context_for):
     # z - 2K round(z / 2K) has no digits of the cell left here: at k = 0.5
     # it put 1e16 at 2, outside [-K, K], and took 1e17 for a lattice point
