@@ -30,8 +30,6 @@ Modulus = float
 #: Default radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
 
-_MAX_PERIODS = 2.0 ** 26  # reduce_to_cell refuses z this many periods or more from the origin
-
 # wp' below this marks a half-period, where the duplication formula degenerates
 _HALF_PERIOD_TOL = 1e-8
 
@@ -201,7 +199,7 @@ def _nome_of_lattice(lat: Lattice) -> Nome:
     turn, sign, cube = (1j, -1.0, -1j) if rotated else (1.0, 1.0, 1.0)
     return Nome(rotated=rotated, scale=s * turn, q=q, theta3=theta3, theta1=theta1,
                 c2=sign * (s * at2 * at3) ** 2, c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2,
-                reach=_MAX_PERIODS * 2.0 * half)
+                reach=2.0 ** 26 * (2.0 * half))
 
 
 def _theta_quotients(w, nome: Nome, sin, cos):

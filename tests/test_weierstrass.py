@@ -53,10 +53,10 @@ def test_invariants_domain_error():
             invariants_of_modulus(bad)
 
 
-@pytest.mark.parametrize("bad", [Fraction(5, 4), 0, 1, 1.0, -0.25, Fraction(-1, 4), 2])
-def test_exact_invariants_domain_error(bad):
-    with pytest.raises(DomainError, match="squared modulus"):
-        exact_invariants(bad)
+def test_exact_invariants_domain_error():
+    for bad in (Fraction(5, 4), 0, 1, 1.0, -0.25, Fraction(-1, 4), 2):
+        with pytest.raises(DomainError, match="squared modulus"):
+            exact_invariants(bad)
 
 
 def test_exact_invariants_match_the_rational_formulas():
