@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShenError
-from .field import BATCH_FUNCTIONS, cached_context
+from .field import BATCH_FUNCTIONS, ShenContext
 from .verify import VerificationReport, available_suites, run_suites
 from .weierstrass import invariants_of_modulus
 
@@ -113,8 +113,8 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
     """Sample ``function`` at every re + i im, in vectorised passes.
 
     The z-mesh is built once and passed in fixed-size chunks to the
-    function itself, which takes arrays as it takes numbers; the lattice
-    of ``k`` comes from the shared context cache. A row is a pole
+    function itself, which takes arrays as it takes numbers; the context
+    of ``k`` comes from ``ShenContext.from_modulus``. A row is a pole
     (``is_pole=1``) exactly where its value is not finite, which is where
     the function raises PoleError for a number: ``wp`` within
     POLE_EXCLUSION of a lattice point; ``d``, ``s2`` and ``c2`` where
@@ -132,7 +132,7 @@ def build_sample_grid(k, function, re_axis, im_axis) -> SampleGrid:
                          f"the cap of {MAX_GRID_POINTS}")
     re = np.asarray(re_axis, dtype=float)
     im = np.asarray(im_axis, dtype=float)
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
     z = np.empty((im.size, re.size), dtype=complex)
     z.real = re
     z.imag = im[:, None]
@@ -266,7 +266,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_periods(args) -> int:
     k = _single_k(args)
-    lat = cached_context(k).lat
+    lat = ShenContext.from_modulus(k).lat
     fields = {"K": lat.K, "K_prime": lat.K_prime,
               "e1": lat.e1, "e2": lat.e2, "e3": lat.e3}
     if args.json:

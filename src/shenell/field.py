@@ -21,9 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateError, PoleError
-from .weierstrass import (POLE_EXCLUSION, Invariants, Lattice, Modulus, _root_differences,
-                          _wp_minus_root, invariants_of_modulus, lattice_of_invariants,
-                          wp_with_prime)
+from .weierstrass import (Invariants, Lattice, Modulus, _root_differences, _wp_minus_root,
+                          invariants_of_modulus, lattice_of_invariants, wp_with_prime)
 
 #: A pole of d is |Q| = |wp + 1/3| < D_POLE_TOL * (8/27) k^2. Near a pole
 #: z0, Q ~ wp'(z0) (z - z0) with |wp'(z0)| = (8/27) k^2, so the excluded
@@ -57,19 +56,11 @@ class ShenContext:
         object.__setattr__(self, "q_roots", (q1, q2, (16.0 / 729.0) * k4 / (q1 * q2)))
 
     @classmethod
+    @lru_cache(maxsize=32, typed=True)
     def from_modulus(cls, k: Modulus) -> "ShenContext":
+        """The context of ``k``, kept per value and type for the 32 most recent; errors are not."""
         inv = invariants_of_modulus(k)
         return cls(k=k, inv=inv, lat=lattice_of_invariants(inv))
-
-
-@lru_cache(maxsize=32)
-def cached_context(k: Modulus) -> ShenContext:
-    """``ShenContext.from_modulus(k)``, kept for the 32 most recent moduli.
-
-    Shared by the verify suites and the grid sampler, so repeated calls at
-    one modulus build its lattice once.
-    """
-    return ShenContext.from_modulus(k)
 
 
 def q_with_prime(ctx: ShenContext, z) -> tuple:
@@ -78,36 +69,27 @@ def q_with_prime(ctx: ShenContext, z) -> tuple:
     Q is Q3 plus the theta quotient for wp - e3 (Q1 plus wp - e1 when the
     kernel is rotated). z and the pole rules are as in ``wp_with_prime``.
     """
-    part, dp = _wp_minus_root(z, ctx.lat, POLE_EXCLUSION)
+    part, dp = _wp_minus_root(z, ctx.lat)
     return ctx.q_roots[0 if ctx.lat.nome.rotated else 2] + part, dp
-
-
-def _pole_disc(ctx: ShenContext, q):
-    # the pole rule of d for a number or an array Q (see D_POLE_TOL): the pole
-    # mask, and Q moved to the disc's edge inside the disc, where Q may round to 0
-    edge = D_POLE_TOL * (8.0 / 27.0) * ctx.k ** 2
-    pole = abs(q) < edge
-    if isinstance(pole, np.ndarray):
-        return pole, np.where(pole, edge, q)
-    return pole, edge if pole else q
 
 
 def _by_pole_rules(ctx: ShenContext, z, formula, at_lattice, poles=True):
     # formula(Q, wp') at a number or an array z: ``at_lattice`` exactly where
-    # the kernel refuses a lattice point, and in the pole disc of d (with
-    # ``poles``) PoleError for a number and nan in an array; elsewhere in the
-    # disc, Q is taken at its edge
+    # the kernel refuses a lattice point, and in the pole disc of d (see
+    # D_POLE_TOL; with ``poles``) PoleError for a number and nan in an array;
+    # elsewhere in the disc, where Q may round to 0, Q is taken at its edge
     try:
         q, dp = q_with_prime(ctx, z)
     except PoleError:
         return at_lattice
-    pole, edge_q = _pole_disc(ctx, q)
+    edge = D_POLE_TOL * (8.0 / 27.0) * ctx.k ** 2
+    pole = abs(q) < edge
     if not isinstance(q, np.ndarray):
         if pole and poles:
             raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
-        return formula(edge_q, dp)
+        return formula(edge if pole else q, dp)
     with np.errstate(invalid="ignore"):
-        values = formula(edge_q, dp)
+        values = formula(np.where(pole, edge, q), dp)
     values[np.isnan(q)] = at_lattice
     if poles:
         values[pole] = np.nan
@@ -214,17 +196,15 @@ def substitution_chain_check(ctx: ShenContext, z) -> float:
     return _substitution_residual(ctx, one_minus_d, q)
 
 
-def pole_order_slope(f, z0, radii=None, direction=1.0) -> float:
-    """Least-squares slope of log|f| against log r on a dyadic radius sweep.
+def pole_order_slope(f, z0) -> float:
+    """Least-squares slope of log|f(z0 + r)| against log r on a dyadic radius sweep.
 
-    Approaches ``z0`` along ``direction`` at radii 1e-2, 5e-3, ... down
-    to just under 1e-5 by default. A simple pole gives -1, a triple pole
-    -3, to within the curvature of the analytic part over the sweep.
+    ``z0`` is approached along +1 at the radii r = 1e-2 * 2^-j, j < 11,
+    from 1e-2 down to just under 1e-5. A simple pole gives -1, a triple
+    pole -3, to within the curvature of the analytic part over the sweep.
     """
-    if radii is None:
-        radii = [1e-2 * 0.5 ** j for j in range(11)]
-    direction = complex(direction) / abs(complex(direction))
+    radii = [1e-2 * 0.5 ** j for j in range(11)]
     log_r = [math.log(r) for r in radii]
-    log_f = [math.log(abs(f(z0 + r * direction))) for r in radii]
+    log_f = [math.log(abs(f(z0 + r))) for r in radii]
     slope = np.polyfit(log_r, log_f, 1)[0]
     return float(slope)

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .exceptions import DomainError, RangeError
-from .field import cached_context, q_with_prime
+from .field import ShenContext, q_with_prime
 from .quadrature import integrate
 from .weierstrass import POLE_EXCLUSION, Modulus, _check_modulus
 
@@ -70,7 +70,7 @@ def u_of_phi(k: Modulus, phi: float) -> float:
 
 def u_max(k: Modulus) -> float:
     """Largest u reachable on the principal branch: u(pi/2), the half-period K."""
-    return cached_context(k).lat.K
+    return ShenContext.from_modulus(k).lat.K
 
 
 def phi_of_u(k: Modulus, u: float) -> float:
@@ -89,7 +89,7 @@ def phi_of_u(k: Modulus, u: float) -> float:
 
     Raises RangeError when |u| exceeds u_max(k) = K, or is nan.
     """
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
     if not abs(u) <= ctx.lat.K:  # also rejects nan
         raise RangeError(f"u={u!r} outside the invertible range "
                          f"[-{ctx.lat.K}, {ctx.lat.K}]")

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from .exceptions import ClassificationError
 from .field import ShenContext, q_with_prime
-from .weierstrass import Invariants, Modulus, _check_modulus, _invariant_ratios, exact_invariants
+from .weierstrass import (Invariants, Modulus, _check_modulus, _exact_k2, _invariant_ratios,
+                          exact_invariants)
 
 
 class RationalPoly:
@@ -113,7 +114,7 @@ def _cubic_numerators(n, d):
 
 def cubic_factor(k2) -> RationalPoly:
     """The cubic w^3 - w^2 + (16 k^2 - 15)/3 w - (9 - 8 k^2)^2 / 27."""
-    k2 = Fraction(k2)
+    k2 = _exact_k2(k2)
     return RationalPoly([-((9 - 8 * k2) ** 2) / 27, (16 * k2 - 15) / 3, -1, 1])
 
 
@@ -126,7 +127,7 @@ def factorization_check(k2) -> bool:
     with the expected w^4 - (2/3)(9 - 8k^2) w^2 - (8/27)(8k^4 - 36k^2 + 27) w
     - (1/27)(9 - 8k^2)^2 and with the right side. DomainError unless 0 < k2 < 1.
     """
-    n, d = Fraction(k2).as_integer_ratio()
+    n, d = _exact_k2(k2).as_integer_ratio()
     (g2, g2_den), (g3, g3_den), _ = _invariant_ratios(n, d)
     scale = 27 * d * d
     terms = (divmod(27 * scale * g2 * g2, 16 * g2_den * g2_den),

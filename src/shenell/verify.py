@@ -9,6 +9,10 @@ a natural accuracy scale (derivatives and period shifts near poles,
 slope fits, exact arithmetic); the rest use the generic default of
 1e-9, overridable through the SHEN_DEFAULT_TOL environment variable.
 An explicit tolerance always wins.
+
+Three suites check only constants and rounding, with no independent
+route: ``cubic-relation`` (s^2 is that relation solved), the complex half
+of ``substitution-chain`` (1 - d is (4/9) k^2 / Q) and ``pythagorean``.
 """
 
 import math
@@ -20,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .field import (_d_of_q, _s2_of_d, _substitution_residual, cached_context,
+from .field import (ShenContext, _d_of_q, _s2_of_d, _substitution_residual,
                     cubic_relation_residual, d_complex, d_ode_residual, pole_order_slope,
                     q_with_prime, s_squared, sc_product)
 from .phase import phi_of_u, scd_real, u_max, u_of_phi
@@ -90,14 +94,14 @@ def _suite_pythagorean(k):
 
 
 def _suite_cubic_relation(k):
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
     zs = _sample_cell(ctx, _rng("cubic-relation", k), 40,
                       lambda z: np.abs(d_complex(ctx, z)) <= 50.0)
     return zs.size, float(np.max(cubic_relation_residual(ctx, zs)))
 
 
 def _suite_d_ode(k):
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
     rng = _rng("d-ode", k)
     real = rng.uniform(0.15, 0.9, 10) * ctx.lat.K
     plane = rng.uniform([-0.9, -0.45], [0.9, 0.45], size=(10, 2)) * [ctx.lat.K, ctx.lat.K_prime]
@@ -107,7 +111,7 @@ def _suite_d_ode(k):
 
 
 def _suite_duplication(k):
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
 
     def values(a):
         p, dp = wp_with_prime(np.concatenate([a, 2.0 * a]), ctx.inv, ctx.lat)
@@ -122,7 +126,7 @@ def _suite_duplication(k):
 
 
 def _suite_substitution_chain(k):
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
     worst = 0.0
     # real axis: u and d from the defining integral and its integrand at
     # phi, a path fully independent of wp, against wp(u) and its inverse.
@@ -150,12 +154,11 @@ def _suite_substitution_chain(k):
 
 
 def _suite_factorization(k):
-    ok = factorization_check(Fraction(k) ** 2)
-    return 1, 0.0 if ok else 1.0
+    return 1, 0.0 if factorization_check(Fraction(k) ** 2) else 1.0
 
 
 def _suite_pole(k):
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
     residual = certify_pole(ctx)
     a = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
     congruence = abs(q_with_prime(ctx, 2.0 * a)[0] - q_with_prime(ctx, a)[0])
@@ -163,7 +166,7 @@ def _suite_pole(k):
 
 
 def _suite_periodicity(k):
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
 
     def away_from_d_poles(z):
         # |Q| = |wp + 1/3| >= 0.15 caps |dd/dQ| at (4/9)/0.15^2 ~ 20 for
@@ -180,7 +183,7 @@ def _suite_periodicity(k):
 
 
 def _suite_pole_order(k):
-    ctx = cached_context(k)
+    ctx = ShenContext.from_modulus(k)
     z0 = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
     slope_d = pole_order_slope(lambda z: d_complex(ctx, z), z0)
     slope_s2 = pole_order_slope(lambda z: s_squared(ctx, z), z0)

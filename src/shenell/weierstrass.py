@@ -27,7 +27,7 @@ from .exceptions import DegenerateError, DomainError, PoleError
 #: The modulus k is an ordinary float constrained to the open interval (0, 1).
 Modulus = float
 
-#: Default radius around lattice points inside which wp refuses to evaluate.
+#: Radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
 
 # wp' below this marks a half-period, where the duplication formula degenerates
@@ -81,6 +81,14 @@ def _check_modulus(k: float) -> None:
         raise DomainError(f"modulus out of range (0, 1): k={k!r}")
 
 
+def _exact_k2(k2) -> Fraction:
+    """``k2`` as an exact Fraction; DomainError if it is not a finite rational."""
+    try:
+        return Fraction(k2)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"squared modulus is not a finite rational: k^2={k2!r}") from None
+
+
 def _invariant_ratios(n, d):
     """(numerator, denominator) of g2, g3 and delta at k^2 = n / d; DomainError unless 0 < n < d."""
     if not 0 < n < d:
@@ -92,7 +100,7 @@ def _invariant_ratios(n, d):
 
 def exact_invariants(k2):
     """g2, g3, delta as exact rationals in the squared modulus ``k2``."""
-    return tuple(Fraction(p, q) for p, q in _invariant_ratios(*Fraction(k2).as_integer_ratio()))
+    return tuple(Fraction(p, q) for p, q in _invariant_ratios(*_exact_k2(k2).as_integer_ratio()))
 
 
 def invariants_of_modulus(k: Modulus) -> Invariants:
@@ -215,19 +223,19 @@ def _theta_quotients(w, nome: Nome, sin, cos):
             nome.c3 * cosine * cosine_part * theta3 * ratio / (denom * denom))
 
 
-def _wp_minus_root(z, lat: Lattice, pole_tol: float = POLE_EXCLUSION):
+def _wp_minus_root(z, lat: Lattice):
     """(wp(z) - e, wp'(z)), where e is e3, or e1 when ``lat.nome.rotated``.
 
     z is reduced to the cell first (DomainError as in ``reduce_to_cell``).
-    A number within ``pole_tol`` of a lattice point raises PoleError; in an
-    ndarray such points, and only they, are nan.
+    A number within POLE_EXCLUSION of a lattice point raises PoleError; in
+    an ndarray such points, and only they, are nan.
     """
     w = reduce_to_cell(z, lat)
     if not isinstance(w, np.ndarray):
-        if abs(w) < pole_tol:
-            raise PoleError(f"z={z!r} is within {pole_tol} of a lattice point")
+        if abs(w) < POLE_EXCLUSION:
+            raise PoleError(f"z={z!r} is within {POLE_EXCLUSION} of a lattice point")
         return _theta_quotients(w, lat.nome, cmath.sin, cmath.cos)
-    pole = np.abs(w) < pole_tol
+    pole = np.abs(w) < POLE_EXCLUSION
     with np.errstate(all="ignore"):
         part, dp = _theta_quotients(w, lat.nome, np.sin, np.cos)
     return np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
@@ -263,26 +271,24 @@ def reduce_to_cell(z, lat: Lattice):
     return w
 
 
-def wp_with_prime(z, inv: Invariants, lat: Lattice,
-                  pole_tol: float = POLE_EXCLUSION) -> tuple:
+def wp_with_prime(z, inv: Invariants, lat: Lattice) -> tuple:
     """(wp(z), wp'(z)) from theta quotients; ``inv`` is not read again.
 
     z is a number or an ndarray that ``reduce_to_cell`` accepts, else DomainError. A number
-    within ``pole_tol`` of a lattice point raises PoleError; an array has nan.
+    within POLE_EXCLUSION of a lattice point raises PoleError; an array has nan.
     """
-    part, dp = _wp_minus_root(z, lat, pole_tol)
+    part, dp = _wp_minus_root(z, lat)
     return (lat.e1 if lat.nome.rotated else lat.e3) + part, dp
 
 
-def wp(z, inv: Invariants, lat: Lattice, pole_tol: float = POLE_EXCLUSION) -> complex:
+def wp(z, inv: Invariants, lat: Lattice) -> complex:
     """Weierstrass wp(z); doubly periodic with periods 2K and 2iK', even."""
-    return wp_with_prime(z, inv, lat, pole_tol)[0]
+    return wp_with_prime(z, inv, lat)[0]
 
 
-def wp_prime(z, inv: Invariants, lat: Lattice,
-             pole_tol: float = POLE_EXCLUSION) -> complex:
+def wp_prime(z, inv: Invariants, lat: Lattice) -> complex:
     """wp'(z) as its own theta quotient, never a square root of 4 wp^3 - g2 wp - g3."""
-    return wp_with_prime(z, inv, lat, pole_tol)[1]
+    return wp_with_prime(z, inv, lat)[1]
 
 
 def duplication_check(a, inv: Invariants, lat: Lattice) -> float:

@@ -1,8 +1,8 @@
-"""The public contract: tests reach the package only through public names.
+"""The public contract: tests and demos reach the package only through public names.
 
 Everything behind ``shenell.__all__`` and the public names of its modules
-is free to change, which holds only while no test imports a private name
-or reads one off a module.
+is free to change, which holds only while no test or demo imports a
+private name or reads one off a module. The demos run as tests too.
 """
 
 import ast
@@ -12,6 +12,7 @@ from pathlib import Path
 import shenell
 
 TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+DEMO_FILES = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def _private(name):
@@ -66,8 +67,8 @@ def private_uses(source):
 
 
 def test_no_test_uses_a_private_name():
-    assert len(TEST_FILES) > 5
-    found = {path.name: private_uses(path.read_text()) for path in TEST_FILES}
+    assert len(TEST_FILES) > 5 and DEMO_FILES
+    found = {path.name: private_uses(path.read_text()) for path in TEST_FILES + DEMO_FILES}
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 

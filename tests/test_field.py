@@ -3,11 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from shenell import (DegenerateError, PoleError, c_squared,
+from shenell import (DegenerateError, DomainError, PoleError, ShenContext, c_squared,
                      cubic_relation_residual, d_complex, d_ode_residual,
                      pole_order_slope, s_squared, sc_product, scd_real,
                      substitution_chain_check, u_max, wp)
 from helpers import sc_oracle_factory
+
+
+def test_context_is_cached_and_a_bad_modulus_is_not():
+    assert ShenContext.from_modulus(0.3) is ShenContext.from_modulus(0.3)
+    # the cache keys on the type too, so a numpy scalar never leaks into a float's context
+    assert type(ShenContext.from_modulus(np.float64(0.3)).k) is np.float64
+    assert type(ShenContext.from_modulus(0.3).k) is float
+    for bad in (0.0, 1.0, math.nan):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="modulus out of range"):
+                ShenContext.from_modulus(bad)
 
 
 def _d_pole(ctx):

@@ -6,7 +6,7 @@ import pytest
 
 from shenell import (DomainError, RationalPoly, certify_pole,
                      classify_quartic_roots, cubic_discriminant, cubic_factor,
-                     factorization_check, invariants_exact,
+                     exact_invariants, factorization_check, invariants_exact,
                      invariants_of_modulus, quartic_f, wp)
 from helpers import quartic_roots
 
@@ -100,6 +100,16 @@ def test_factorization_domain_error():
             factorization_check(bad)
         with pytest.raises(DomainError, match="squared modulus"):
             invariants_exact(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "abc", None], ids=repr)
+@pytest.mark.parametrize("check", [factorization_check, exact_invariants, invariants_exact,
+                                   cubic_factor], ids=lambda check: check.__name__)
+def test_unconvertible_squared_modulus_is_a_domain_error(check, bad):
+    # a k^2 that Fraction cannot take is refused before any range check;
+    # cubic_factor, which accepts any rational, refuses it too
+    with pytest.raises(DomainError, match="not a finite rational"):
+        check(bad)
 
 
 # binary squared moduli: k log-spaced over [1e-6, 0.5] and 1 - k over [1e-9, 0.5]
