@@ -24,6 +24,16 @@ for phi in (0.1, 0.5, 1.0, 1.4):
     print(f"  phi={phi:5.2f} -> u={u:.12f} -> phi={back:.12f}  (gap {abs(back - phi):.1e})")
 print()
 
+# an array goes through each map in one call: all the integrals u(phi)
+# refine their panels together, and phi(u) is one pass of the wp kernel
+phis = np.linspace(-np.pi / 2, np.pi / 2, 9)
+us = u_of_phi(k, phis)
+back = phi_of_u(k, us)
+print("the same round trip on an array of 9 angles, one call each way:")
+print(f"  u(phi) = {np.array2string(us, precision=6)}")
+print(f"  largest gap |phi(u(phi)) - phi| = {np.max(np.abs(back - phis)):.1e}")
+print()
+
 print(f"{'u':>6} {'s':>20} {'c':>20} {'d':>20} {'cubic relation':>14}")
 for u in np.linspace(-1.2, 1.2, 7):
     s, c, d = scd_real(k, float(u))

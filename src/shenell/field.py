@@ -6,9 +6,10 @@ d extends off the real axis as the rational function of wp
 
 elliptic of order two with simple poles at +-(2/3) i K' in the cell.
 Q is of order k^2 near those poles, so it is never formed as wp + 1/3
-(see ``q_with_prime``). s^2 = (1 - d)(2 + d)^2 / (4 k^2) and c^2 = 1 - s^2
-are elliptic with triple poles; s and c themselves are not elliptic and
-are only exposed on the real principal branch (see :mod:`shenell.phase`).
+(see ``q_with_prime``). s^2 = (1 - d)(2 + d)^2 / (4 k^2), taken as
+(3 Q - (4/9) k^2)^2 / (9 Q^3), and c^2 = 1 - s^2 are elliptic with triple
+poles; s and c themselves are not elliptic and are only exposed on the
+real principal branch (see :mod:`shenell.phase`).
 
 Each function of z has one body for a number and an ndarray, as the
 kernel does: where a number raises PoleError, an array holds nan.
@@ -17,6 +18,7 @@ kernel does: where a number raises PoleError, an array holds nan.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,15 +75,31 @@ def q_with_prime(ctx: ShenContext, z) -> tuple:
     return ctx.q_roots[0 if ctx.lat.nome.rotated else 2] + part, dp
 
 
+class _Evaluated(NamedTuple):
+    """(Q, wp') arrays that ``q_with_prime`` returned at some points.
+
+    Every function of z below takes one in place of the array of points,
+    and applies its formula and pole rules to these values without
+    evaluating the kernel again.
+    """
+
+    q: np.ndarray
+    dp: np.ndarray
+
+
 def _by_pole_rules(ctx: ShenContext, z, formula, at_lattice, poles=True):
-    # formula(Q, wp') at a number or an array z: ``at_lattice`` exactly where
-    # the kernel refuses a lattice point, and in the pole disc of d (see
-    # D_POLE_TOL; with ``poles``) PoleError for a number and nan in an array;
-    # elsewhere in the disc, where Q may round to 0, Q is taken at its edge
-    try:
-        q, dp = q_with_prime(ctx, z)
-    except PoleError:
-        return at_lattice
+    # formula(Q, wp') at a number or an array z, or at _Evaluated values:
+    # ``at_lattice`` exactly where the kernel refuses a lattice point, and in
+    # the pole disc of d (see D_POLE_TOL; with ``poles``) PoleError for a
+    # number and nan in an array; elsewhere in the disc, where Q may round
+    # to 0, Q is taken at its edge
+    if isinstance(z, _Evaluated):
+        q, dp = z
+    else:
+        try:
+            q, dp = q_with_prime(ctx, z)
+        except PoleError:
+            return at_lattice
     edge = D_POLE_TOL * (8.0 / 27.0) * ctx.k ** 2
     pole = abs(q) < edge
     if not isinstance(q, np.ndarray):
@@ -122,8 +140,20 @@ def d_complex(ctx: ShenContext, z):
 
 
 def s_squared(ctx: ShenContext, z):
-    """s^2 via the (s, d) relation: (1 - d)(2 + d)^2 / (4 k^2); poles as ``d_complex``."""
-    return _s2_of_d(ctx, d_complex(ctx, z))
+    """s^2 = (1 - d)(2 + d)^2 / (4 k^2), taken as (3 Q - (4/9) k^2)^2 / (9 Q^3).
+
+    With 1 - d = (4/9) k^2 / Q and 2 + d = (3 Q - (4/9) k^2) / Q, the k^2
+    cancels before rounding, so s^2 keeps the relative accuracy of Q at
+    every k, where 1 - d rounded off d ~ 1 costs ~eps / k^2. 0 at lattice
+    points; poles as ``d_complex``.
+    """
+    a = (4.0 / 9.0) * ctx.k ** 2
+
+    def formula(q, _):
+        t = 3.0 * q - a
+        return t * t / (9.0 * (q * q * q))
+
+    return _by_pole_rules(ctx, z, formula, complex(0.0, 0.0))
 
 
 def c_squared(ctx: ShenContext, z):
@@ -180,20 +210,28 @@ def d_ode_residual(ctx: ShenContext, z):
     return _by_pole_rules(ctx, z, residual, 0.0)
 
 
-def substitution_chain_check(ctx: ShenContext, z) -> float:
+def substitution_chain_check(ctx: ShenContext, z):
     """|p(z) - wp(z)| where p = (4 k^2 / 9) / (1 - d) - 1/3.
 
     Exercises the change of variables r = 1/(1 - d), q = (4 k^2 / 9) r,
     p = q - 1/3 against a direct evaluation, as |q - Q(z)|; the constants
     enter the two paths independently, so a wrong coefficient in either
-    one shows up here. Raises DegenerateError where d(z) = 1 (lattice points,
-    where Q is infinite) and PoleError at the poles of d, as ``d_complex``.
+    one shows up here. z is a number or an ndarray. A number raises
+    DegenerateError where d(z) = 1 (lattice points, where Q is infinite)
+    and PoleError at the poles of d, as ``d_complex``; an array holds nan
+    at both.
     """
     q = _by_pole_rules(ctx, z, lambda q, _: q, math.inf)
-    one_minus_d = 1.0 - _d_of_q(ctx, q)
-    if abs(one_minus_d) < _UNIT_TOL:
-        raise DegenerateError(f"d(z) = 1 at z={z!r}; the substitution degenerates")
-    return _substitution_residual(ctx, one_minus_d, q)
+    if not isinstance(q, np.ndarray):
+        one_minus_d = 1.0 - _d_of_q(ctx, q)
+        if abs(one_minus_d) < _UNIT_TOL:
+            raise DegenerateError(f"d(z) = 1 at z={z!r}; the substitution degenerates")
+        return _substitution_residual(ctx, one_minus_d, q)
+    # Q = inf at lattice points, and 1 - d may round to 0 near them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one_minus_d = 1.0 - _d_of_q(ctx, q)
+        return np.where(abs(one_minus_d) < _UNIT_TOL, np.nan,
+                        _substitution_residual(ctx, one_minus_d, q))
 
 
 def pole_order_slope(f, z0) -> float:
@@ -202,9 +240,13 @@ def pole_order_slope(f, z0) -> float:
     ``z0`` is approached along +1 at the radii r = 1e-2 * 2^-j, j < 11,
     from 1e-2 down to just under 1e-5. A simple pole gives -1, a triple
     pole -3, to within the curvature of the analytic part over the sweep.
+    The fit is the centred closed form sum (x - x_mean)(y - y_mean) /
+    sum (x - x_mean)^2 in x = log r, y = log|f|.
     """
     radii = [1e-2 * 0.5 ** j for j in range(11)]
     log_r = [math.log(r) for r in radii]
     log_f = [math.log(abs(f(z0 + r))) for r in radii]
-    slope = np.polyfit(log_r, log_f, 1)[0]
-    return float(slope)
+    mean_r, mean_f = sum(log_r) / len(radii), sum(log_f) / len(radii)
+    dx = [x - mean_r for x in log_r]
+    return (sum(d * (y - mean_f) for d, y in zip(dx, log_f))
+            / sum(d * d for d in dx))

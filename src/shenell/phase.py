@@ -15,20 +15,30 @@ of :mod:`shenell.field` restricted to the real axis, so the principal
 branch ends at u_max = K, the real half-period, and phi(u) is read off
 wp(u). The integral u(phi) stays as the one wp-free path, the witness
 the certification suites check the wp route against.
+
+Each function of phi or u takes a number or an ndarray in one body, as
+the field functions of z do; an array with an entry the number path
+would refuse is refused whole, with the same error type.
 """
 
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .exceptions import DomainError, RangeError
 from .field import ShenContext, q_with_prime
-from .quadrature import integrate
+from .quadrature import _integrate_all, integrate
 from .weierstrass import POLE_EXCLUSION, Modulus, _check_modulus
 
 _HALF_PI = math.pi / 2.0
 
+# (sin, cos, asin, sqrt) for a number and for an ndarray
+_MATH = (math.sin, math.cos, math.asin, math.sqrt)
+_NUMPY = (np.sin, np.cos, np.arcsin, np.sqrt)
 
-def phase_speed(k: Modulus, phi: float) -> float:
+
+def phase_speed(k: Modulus, phi):
     """du/dphi at ``phi``, i.e. F(1/3, 2/3; 1/2; k^2 sin^2 phi). Always >= 1.
 
     With y = k |sin phi| and z = asin(y), F = cos(z/3) / cos(z) is taken as
@@ -39,27 +49,51 @@ def phase_speed(k: Modulus, phi: float) -> float:
     denominator come from 1 - y = (1 - k) + k cos^2 phi / (1 + |sin phi|),
     which never subtracts nearly equal numbers, so the value keeps full
     relative accuracy as k -> 1 and phi -> pi/2, and is exactly 1 at
-    phi = 0. Even and pi-periodic in ``phi``; other phi are reduced with
-    ``math.remainder``. Raises DomainError where k |sin phi| >= 1.
+    phi = 0. Even and pi-periodic in ``phi``, a number or an ndarray.
+    Other phi are reduced to [-pi/2, pi/2]: a number with
+    ``math.remainder``, an array as phi - pi round(phi / pi), which is
+    exact on that branch. Raises DomainError where k |sin phi| >= 1, and
+    for a non-finite entry of an array, which is refused whole.
     """
-    phi = abs(math.remainder(phi, math.pi))
-    s = math.sin(phi)
-    c = math.cos(phi)
+    array = isinstance(phi, np.ndarray)
+    if array:
+        if not np.isfinite(phi).all():
+            raise DomainError("phi holds an entry that is not finite")
+        phi = np.abs(phi - math.pi * np.round(phi / math.pi))
+        sin, cos, asin, sqrt = _NUMPY
+    else:
+        phi = abs(math.remainder(phi, math.pi))
+        sin, cos, asin, sqrt = _MATH
+    s = sin(phi)
+    c = cos(phi)
     one_minus_y = (1.0 - k) + k * (c * c / (1.0 + s))
-    if not one_minus_y > 0.0:  # also rejects nan
+    inside = one_minus_y > 0.0  # also rejects nan
+    if not (inside.all() if array else inside):
         raise DomainError(f"k |sin phi| >= 1 at k={k!r}, phi={phi!r}")
-    return (math.cos(math.pi / 6.0 - (2.0 / 3.0) * math.asin(math.sqrt(0.5 * one_minus_y)))
-            / math.sqrt(one_minus_y * (2.0 - one_minus_y)))
+    return (cos(math.pi / 6.0 - (2.0 / 3.0) * asin(sqrt(0.5 * one_minus_y)))
+            / sqrt(one_minus_y * (2.0 - one_minus_y)))
 
 
-def u_of_phi(k: Modulus, phi: float) -> float:
+def u_of_phi(k: Modulus, phi):
     """The phase integral u(phi) on the principal branch |phi| <= pi/2.
 
     Odd and strictly increasing in ``phi``; u(0) = 0. The integrand is
     even in theta, so the integral runs over [0, |phi|] and the sign is
-    restored afterwards, making oddness exact in floating point.
+    restored afterwards, making oddness exact in floating point. An
+    ndarray ``phi`` takes all its integrals in one call of the quadrature
+    engine, each level of panels in one array call of ``phase_speed``;
+    it is refused whole (DomainError) if an entry is nan or off the
+    branch, and raises ConvergenceError if any integral stalls.
     """
     _check_modulus(k)
+    if isinstance(phi, np.ndarray):
+        size = np.abs(phi)
+        if not (size <= _HALF_PI).all():  # also rejects nan
+            raise DomainError("phi holds an entry outside the principal branch "
+                              "[-pi/2, pi/2], or nan")
+        flat = size.ravel()
+        values = _integrate_all(lambda theta: phase_speed(k, theta), np.zeros_like(flat), flat)
+        return np.copysign(values.reshape(phi.shape), phi)
     if not abs(phi) <= _HALF_PI:  # also rejects nan
         raise DomainError(f"phi={phi!r} outside the principal branch [-pi/2, pi/2]")
     if phi == 0.0:
@@ -73,7 +107,15 @@ def u_max(k: Modulus) -> float:
     return ShenContext.from_modulus(k).lat.K
 
 
-def phi_of_u(k: Modulus, u: float) -> float:
+def _phase_and_q(ctx: ShenContext, u, atan2=np.arctan2, copysign=np.copysign):
+    # (phi(u), Q(u)) from one kernel pass at an array u with POLE_EXCLUSION
+    # <= |u| <= K (nan where |u| is below); a number passes math's functions
+    q, dp = q_with_prime(ctx, abs(u))
+    phi = atan2(2.0 * q.real - (8.0 / 27.0) * ctx.k * ctx.k, -dp.real)
+    return copysign(phi, u), q
+
+
+def phi_of_u(k: Modulus, u):
     """Invert the phase map: the phi in [-pi/2, pi/2] with u_of_phi(k, phi) = u.
 
     s = sin(phi) and c = cos(phi) are read off the complex field at z = |u|.
@@ -87,17 +129,23 @@ def phi_of_u(k: Modulus, u: float) -> float:
     phi = pi/2. Below POLE_EXCLUSION, where wp refuses to evaluate,
     phi = u, since the next term (4/27) k^2 u^3 is below an ulp.
 
-    Raises RangeError when |u| exceeds u_max(k) = K, or is nan.
+    ``u`` is a number or an ndarray, whose entries follow the same rules.
+    Raises RangeError when |u| exceeds u_max(k) = K, or is nan; an array
+    with such an entry is refused whole.
     """
     ctx = ShenContext.from_modulus(k)
+    if isinstance(u, np.ndarray):
+        size = np.abs(u)
+        if not (size <= ctx.lat.K).all():  # also rejects nan
+            raise RangeError(f"u holds an entry outside the invertible range "
+                             f"[-{ctx.lat.K}, {ctx.lat.K}], or nan")
+        return np.where(size < POLE_EXCLUSION, u, _phase_and_q(ctx, u)[0])
     if not abs(u) <= ctx.lat.K:  # also rejects nan
         raise RangeError(f"u={u!r} outside the invertible range "
                          f"[-{ctx.lat.K}, {ctx.lat.K}]")
     if abs(u) < POLE_EXCLUSION:
         return u
-    q, dp = q_with_prime(ctx, abs(u))
-    phi = math.atan2(2.0 * q.real - (8.0 / 27.0) * k * k, -dp.real)
-    return math.copysign(phi, u)
+    return _phase_and_q(ctx, u, math.atan2, math.copysign)[0]
 
 
 class ScdTriple(NamedTuple):
@@ -106,14 +154,17 @@ class ScdTriple(NamedTuple):
     d: float
 
 
-def scd_real(k: Modulus, u: float) -> ScdTriple:
+def scd_real(k: Modulus, u) -> ScdTriple:
     """The triple (s, c, d) = (sin phi(u), cos phi(u), phi'(u)) at real u.
 
     d comes from the reciprocal of the phase speed, so d is in (0, 1]
-    and s^2 + c^2 = 1 holds to machine precision by construction.
+    and s^2 + c^2 = 1 holds to machine precision by construction. ``u``
+    is a number or an ndarray, as in ``phi_of_u``; for an array each field
+    is an array.
     """
     phi = phi_of_u(k, u)
-    return ScdTriple(math.sin(phi), math.cos(phi), 1.0 / phase_speed(k, phi))
+    sin, cos, _, _ = _NUMPY if isinstance(phi, np.ndarray) else _MATH
+    return ScdTriple(sin(phi), cos(phi), 1.0 / phase_speed(k, phi))
 
 
 def derivative_residuals(k: Modulus, u: float, h: float = 1e-5):

@@ -3,8 +3,11 @@
 Each suite evaluates one family of identities at a deterministic sample
 set for a given modulus and reports the worst residual against a
 tolerance. The samples are drawn as arrays and passed to the public
-functions of :mod:`shenell.field`, which take arrays as they take
-numbers. Default tolerances are pinned per suite where an identity has
+functions of :mod:`shenell.field` and :mod:`shenell.phase`, which take
+arrays as they take numbers. The kernel is evaluated once per sample:
+a suite that draws its samples by rejection keeps the kernel values its
+acceptance test computed, and hands them to the field functions in place
+of the points. Default tolerances are pinned per suite where an identity has
 a natural accuracy scale (derivatives and period shifts near poles,
 slope fits, exact arithmetic); the rest use the generic default of
 1e-9, overridable through the SHEN_DEFAULT_TOL environment variable.
@@ -24,10 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .field import (ShenContext, _d_of_q, _s2_of_d, _substitution_residual,
+from .field import (ShenContext, _Evaluated, _s2_of_d, _substitution_residual,
                     cubic_relation_residual, d_complex, d_ode_residual, pole_order_slope,
-                    q_with_prime, s_squared, sc_product)
-from .phase import phi_of_u, scd_real, u_max, u_of_phi
+                    q_with_prime, s_squared, sc_product, substitution_chain_check)
+from .phase import _phase_and_q, phi_of_u, scd_real, u_max, u_of_phi
 from .poles import certify_pole, factorization_check
 from .weierstrass import _check_modulus, _duplication_residual, wp_with_prime
 
@@ -57,47 +60,52 @@ def _rng(name, k):
 
 
 def _sample_cell(ctx, rng, count, accept):
-    """The first ``count`` points of the period cell that ``accept`` passes.
+    """The first ``count`` points of the period cell that ``accept`` passes, and its values there.
 
     Candidates are uniform over 0.95 of the cell, drawn in blocks but in
-    the order of one draw per coordinate; ``accept`` maps an array of
-    them to a boolean mask, in which a pole counts as a rejection. At
-    most 200 * count candidates are tried.
+    the order of one draw per coordinate. ``accept`` maps an array of
+    them to a boolean mask, in which a pole counts as a rejection, and a
+    tuple of arrays of values at the candidates. Returns the tuple
+    (points, *values) cut to the accepted points. At most 200 * count
+    candidates are tried.
     """
     scale = np.array([ctx.lat.K, ctx.lat.K_prime])
     kept = []
     for _ in range(100):  # blocks of 2 * count: the 200 * count budget
         # rows (re, im) viewed as complex numbers
         z = (rng.uniform(-0.95, 0.95, size=(2 * count, 2)) * scale).view(complex).ravel()
-        kept.append(z[accept(z)])
-        if sum(part.size for part in kept) >= count:
-            return np.concatenate(kept)[:count]
+        mask, values = accept(z)
+        kept.append([column[mask] for column in (z, *values)])
+        if sum(part[0].size for part in kept) >= count:
+            return tuple(np.concatenate(column)[:count] for column in zip(*kept))
     raise ConvergenceError("rejection sampling exhausted its attempt budget")
 
 
-def _shifted(ctx, zs):
-    # zs and its translates by the periods 2K and 2iK', end to end
-    return np.concatenate([zs, zs + 2.0 * ctx.lat.K, zs + 2.0j * ctx.lat.K_prime])
+def _kernel(ctx, z):
+    # (Q, wp') at z, in the form the field functions take in place of z
+    return _Evaluated(*q_with_prime(ctx, z))
 
 
 def _period_gap(values):
-    # the largest change under a period shift, for values at _shifted(zs)
+    # the largest change under a period shift, for values at zs, zs + 2K, zs + 2iK'
     rows = values.reshape(3, -1)
     return np.max(np.abs(rows[1:] - rows[0]))
 
 
 def _suite_pythagorean(k):
-    top = u_max(k)
-    us = np.linspace(-0.95, 0.95, 21) * top
-    worst = max(abs(s * s + c * c - 1.0) for s, c, _ in (scd_real(k, u) for u in us))
-    return len(us), worst
+    s, c, _ = scd_real(k, np.linspace(-0.95, 0.95, 21) * u_max(k))
+    return s.size, float(np.max(np.abs(s * s + c * c - 1.0)))
 
 
 def _suite_cubic_relation(k):
     ctx = ShenContext.from_modulus(k)
-    zs = _sample_cell(ctx, _rng("cubic-relation", k), 40,
-                      lambda z: np.abs(d_complex(ctx, z)) <= 50.0)
-    return zs.size, float(np.max(cubic_relation_residual(ctx, zs)))
+
+    def accept(z):
+        at = _kernel(ctx, z)
+        return np.abs(d_complex(ctx, at)) <= 50.0, at
+
+    zs, q, dp = _sample_cell(ctx, _rng("cubic-relation", k), 40, accept)
+    return zs.size, float(np.max(cubic_relation_residual(ctx, _Evaluated(q, dp))))
 
 
 def _suite_d_ode(k):
@@ -113,44 +121,40 @@ def _suite_d_ode(k):
 def _suite_duplication(k):
     ctx = ShenContext.from_modulus(k)
 
-    def values(a):
-        p, dp = wp_with_prime(np.concatenate([a, 2.0 * a]), ctx.inv, ctx.lat)
-        return p[:a.size], dp[:a.size], p[a.size:]
-
     def accept(a):
-        pa, dpa, p2a = values(a)
-        return (np.abs(pa) <= 20.0) & (np.abs(dpa) >= 0.1) & (np.abs(p2a) <= 100.0)
+        p, dp = wp_with_prime(np.concatenate([a, 2.0 * a]), ctx.inv, ctx.lat)
+        pa, dpa, p2a = p[:a.size], dp[:a.size], p[a.size:]
+        return ((np.abs(pa) <= 20.0) & (np.abs(dpa) >= 0.1) & (np.abs(p2a) <= 100.0),
+                (pa, dpa, p2a))
 
-    zs = _sample_cell(ctx, _rng("duplication", k), 20, accept)
-    return zs.size, float(np.max(_duplication_residual(ctx.inv, *values(zs))))
+    zs, *values = _sample_cell(ctx, _rng("duplication", k), 20, accept)
+    return zs.size, float(np.max(_duplication_residual(ctx.inv, *values)))
 
 
 def _suite_substitution_chain(k):
     ctx = ShenContext.from_modulus(k)
-    worst = 0.0
     # real axis: u and d from the defining integral and its integrand at
     # phi, a path fully independent of wp, against wp(u) and its inverse.
     # d = 1/F is within (4/9) k^2 of 1, so 1 - d is taken as (F - 1)/F =
     # 2 sin(2a/3) tan(a/3), a = asin(k |sin phi|), not rounded off d
-    for phi in (phi_of_u(k, u) for u in np.linspace(0.15, 0.9, 10) * ctx.lat.K):
-        u = u_of_phi(k, phi)
-        a = math.asin(k * abs(math.sin(phi)))
-        one_minus_d = 2.0 * math.sin(2.0 * a / 3.0) * math.tan(a / 3.0)
-        worst = max(worst, _substitution_residual(ctx, one_minus_d, q_with_prime(ctx, u)[0]),
-                    abs(phi_of_u(k, u) - phi))
+    phi = phi_of_u(k, np.linspace(0.15, 0.9, 10) * ctx.lat.K)
+    phi_again, q = _phase_and_q(ctx, u_of_phi(k, phi))
+    a = np.arcsin(k * np.abs(np.sin(phi)))
+    one_minus_d = 2.0 * np.sin(2.0 * a / 3.0) * np.tan(a / 3.0)
+    real = [_substitution_residual(ctx, one_minus_d, q), np.abs(phi_again - phi)]
 
     # complex plane: the rational-wp continuation against wp itself. The
     # rounding of d reaches (4 k^2 / 9) / (1 - d) multiplied by
     # (9 / (4 k^2)) |Q|^2, so points need |1 - d| = (4/9) k^2 / |Q| above a
     # bound proportional to k
     def accept(z):
-        d = d_complex(ctx, z)
-        return (np.abs(1.0 - d) > 1e-3 * k) & (np.abs(d) <= 50.0)
+        at = _kernel(ctx, z)
+        d = d_complex(ctx, at)
+        return (np.abs(1.0 - d) > 1e-3 * k) & (np.abs(d) <= 50.0), at
 
-    zs = _sample_cell(ctx, _rng("substitution-chain", k), 10, accept)
-    q = q_with_prime(ctx, zs)[0]  # zs avoid the pole disc: d is _d_of_q(q) there
-    residual = _substitution_residual(ctx, 1.0 - _d_of_q(ctx, q), q)
-    return 20, float(np.max(residual, initial=worst))
+    _, q, dp = _sample_cell(ctx, _rng("substitution-chain", k), 10, accept)
+    plane = substitution_chain_check(ctx, _Evaluated(q, dp))
+    return 20, float(np.max(np.concatenate([*real, plane])))
 
 
 def _suite_factorization(k):
@@ -171,13 +175,18 @@ def _suite_periodicity(k):
     def away_from_d_poles(z):
         # |Q| = |wp + 1/3| >= 0.15 caps |dd/dQ| at (4/9)/0.15^2 ~ 20 for
         # every k, which keeps wp evaluation noise from leaking into d and s^2
-        q, _ = q_with_prime(ctx, z)
-        return np.abs(q) >= 0.15
+        at = _kernel(ctx, z)
+        return np.abs(at.q) >= 0.15, at
 
-    zs = _sample_cell(ctx, _rng("periodicity", k), 50, away_from_d_poles)
-    d = d_complex(ctx, _shifted(ctx, zs))
+    zs, q, dp = _sample_cell(ctx, _rng("periodicity", k), 50, away_from_d_poles)
+    # Q and wp' at zs, then at its translates by the periods 2K and 2iK'
+    moved = _kernel(ctx, np.concatenate([zs + 2.0 * ctx.lat.K, zs + 2.0j * ctx.lat.K_prime]))
+    q, dp = np.concatenate([q, moved.q]), np.concatenate([dp, moved.dp])
+    d = d_complex(ctx, _Evaluated(q, dp))
     s2 = _s2_of_d(ctx, d)
-    sc = sc_product(ctx, _shifted(ctx, zs[:8]))
+    first = np.s_[:, :8]  # sc at the first 8 points of zs and their translates
+    sc = sc_product(ctx, _Evaluated(q.reshape(3, -1)[first].ravel(),
+                                    dp.reshape(3, -1)[first].ravel()))
     gaps = [_period_gap(values) for values in (d, s2, 1.0 - s2, sc)]
     return 3 * 2 * zs.size + 2 * 8, float(np.max(gaps))
 

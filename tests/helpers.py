@@ -172,3 +172,24 @@ def phi_oracle(k, u):
     phi = mp.findroot(lambda phi: mp.quad(speed, [0, phi]) - abs(u),
                       (mp.mpf(0), mp.pi / 2), solver="anderson")
     return phi if u >= 0 else -phi
+
+
+def s2_c2_oracle_factory(k):
+    """(s^2, c^2) = ((3 Q - (4/9) k^2)^2 / (9 Q^3), wp'^2 / (4 Q^3)) at 50 digits.
+
+    Q and wp' come from the Jacobi representation of ``sc_oracle_factory``;
+    c^2 is taken from wp', not as 1 - s^2.
+    """
+    e1, e2, e3 = mp_roots(k)
+
+    def oracle(z):
+        with mp.workdps(50):
+            scale = mp.sqrt(e1 - e3)
+            w, m = mp.mpc(z) * scale, (e2 - e3) / (e1 - e3)
+            sn, cn, dn = (mp.ellipfun(name, w, m) for name in ("sn", "cn", "dn"))
+            q = e3 + mp.mpf(1) / 3 + (e1 - e3) / sn ** 2
+            dp = -2 * (e1 - e3) * scale * cn * dn / sn ** 3
+            t = 3 * q - mp.mpf(4) / 9 * mp.mpf(k) ** 2
+            return complex(t * t / (9 * q ** 3)), complex(dp * dp / (4 * q ** 3))
+
+    return oracle

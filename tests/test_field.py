@@ -7,7 +7,7 @@ from shenell import (DegenerateError, DomainError, PoleError, ShenContext, c_squ
                      cubic_relation_residual, d_complex, d_ode_residual,
                      pole_order_slope, s_squared, sc_product, scd_real,
                      substitution_chain_check, u_max, wp)
-from helpers import sc_oracle_factory
+from helpers import s2_c2_oracle_factory, sc_oracle_factory
 
 
 def test_context_is_cached_and_a_bad_modulus_is_not():
@@ -234,3 +234,62 @@ def test_pole_orders(context_for):
     # the mirror pole is simple too
     slope_mirror = pole_order_slope(lambda z: d_complex(ctx, z), -z0)
     assert abs(slope_mirror + 1.0) < 0.05
+
+
+@pytest.mark.parametrize("k", [float(k) for k in np.geomspace(1e-6, 0.5, 8)])
+def test_s_squared_and_c_squared_against_oracle(k):
+    # s^2 from (3 Q - (4/9) k^2)^2 / (9 Q^3) keeps the relative accuracy of
+    # Q; through 1 - d, with d ~ 1 - (4/9) k^2 / Q rounded first, it lost
+    # ~eps / k^2: 7e-4 relative at k = 1e-6. The plane points stay below
+    # |Im z| = 0.6 K': towards +-iK' at small k, Q closes in on (4/27) k^2,
+    # where 2 + d = 0, and s^2 is ill-conditioned in Q (ROADMAP.md, item 2)
+    ctx = ShenContext.from_modulus(k)
+    oracle = s2_c2_oracle_factory(k)
+    real = [t * ctx.lat.K for t in (0.1, 0.4, 0.7, 0.999)]
+    plane = [complex(x * ctx.lat.K, y * ctx.lat.K_prime)
+             for x, y in ((0.3, 0.2), (-0.7, 0.45), (0.5, -0.6), (0.95, 0.3), (0.1, -0.4))]
+    for z in real + plane:
+        want_s2, want_c2 = oracle(z)
+        for got, want in ((s_squared(ctx, complex(z)), want_s2),
+                          (c_squared(ctx, complex(z)), want_c2)):
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (z, got, want)
+        values = s_squared(ctx, np.array([complex(z)])), c_squared(ctx, np.array([complex(z)]))
+        for got, want in zip(values, (want_s2, want_c2)):
+            assert abs(got[0] - want) <= 1e-13 * max(1.0, abs(want)), (z, got, want)
+
+
+def test_substitution_chain_takes_arrays(context_for):
+    # an array holds nan exactly where a number raises DegenerateError
+    # (lattice points, and |1 - d| < 1e-12 next to them) or PoleError
+    for k in (0.1, 0.5):
+        ctx = context_for(k)
+        pole = _d_pole(ctx)
+        zs = np.array([0.5, 0.3j, 0.0, 2e-8, 1e-7, pole, -pole + 2.0 * ctx.lat.K,
+                       0.4 + 0.2j, 2.0 * ctx.lat.K, 1.1 - 0.7j])
+        values = substitution_chain_check(ctx, zs)
+        assert values.shape == zs.shape
+        for z, value in zip(zs, values):
+            try:
+                number = substitution_chain_check(ctx, complex(z))
+            except (DegenerateError, PoleError):
+                assert math.isnan(value), z
+                continue
+            assert value == pytest.approx(number, rel=0.5, abs=1e-13)
+            assert value < 1e-9
+
+
+# the 22 moduli of the benchmark's certify workload, and the whole-interval
+# scan of tests/test_verify.py
+_SLOPE_MODULI = [float(k) for k in np.concatenate(
+    [np.linspace(0.06, 0.85, 16), 1.0 - np.geomspace(0.12, 0.01, 6),
+     np.geomspace(1e-6, 0.1, 16), 1.0 - np.geomspace(1e-9, 1e-2, 8)])]
+
+
+def test_pole_order_slope_is_the_least_squares_fit():
+    radii = 1e-2 * 0.5 ** np.arange(11)
+    for k in _SLOPE_MODULI:
+        ctx = ShenContext.from_modulus(k)
+        z0 = _d_pole(ctx)
+        for f in (lambda z: d_complex(ctx, z), lambda z: s_squared(ctx, z)):
+            fitted = np.polyfit(np.log(radii), [math.log(abs(f(z0 + r))) for r in radii], 1)[0]
+            assert abs(pole_order_slope(f, z0) - fitted) <= 1e-12, k

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shenell import (DomainError, RangeError, derivative_residuals, f_series,
-                     phase_speed, phi_of_u, scd_real, u_max, u_of_phi)
+from shenell import (POLE_EXCLUSION, ConvergenceError, DomainError, RangeError,
+                     derivative_residuals, f_series, phase_speed, phi_of_u, scd_real, u_max,
+                     u_of_phi)
 from helpers import phi_oracle, u_oracle, u_oracle_t_form
 
 # frozen from two independent scipy quadratures of the defining integral
@@ -207,3 +208,84 @@ def test_scd_near_k_one_against_mpmath(one_minus_k):
         assert abs(s - mp.sin(phi)) <= tol
         assert abs(c - mp.cos(phi)) <= tol
         assert abs(d - mp.cos(z) / mp.cos(z / 3)) <= tol
+
+
+# The 22 moduli of the benchmark's certify workload.
+CERTIFY_MODULI = tuple(float(k) for k in np.concatenate(
+    [np.linspace(0.06, 0.85, 16), 1.0 - np.geomspace(0.12, 0.01, 6)]))
+
+
+def _ulps(values, reference, scale=None):
+    # |values - reference| in units in the last place of ``scale`` (default: the reference)
+    scale = np.abs(reference if scale is None else scale)
+    return np.abs(values - reference) / np.spacing(np.maximum(scale, np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("k", CERTIFY_MODULI)
+def test_arrays_match_numbers_within_4_ulp(k):
+    top = u_max(k)
+    phis = np.concatenate([[0.0, -0.0, 1e-12, math.pi / 2.0, -math.pi / 2.0, 1.57],
+                           np.linspace(-1.5, 1.5, 13)])
+    us = np.concatenate([[0.0, -0.0, 1e-12, -5e-9, POLE_EXCLUSION, top, -top],
+                         np.linspace(-0.99, 0.99, 13) * top])
+    for f, xs in ((phase_speed, phis), (u_of_phi, phis), (phi_of_u, us)):
+        values = f(k, xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        numbers = np.array([f(k, float(x)) for x in xs])
+        assert np.all(_ulps(values, numbers) <= 4.0), (f.__name__, xs, values - numbers)
+    s, c, d = scd_real(k, us)
+    numbers = np.array([scd_real(k, float(u)) for u in us])
+    phi = np.array([phi_of_u(k, float(u)) for u in us])
+    assert np.all(_ulps(d, numbers[:, 2]) <= 4.0)
+    # s and c are the sine and cosine of phi: within 4 ulp of max(1, |phi|)
+    for values, column in ((s, 0), (c, 1)):
+        assert np.all(_ulps(values, numbers[:, column], np.maximum(np.abs(phi), 1.0)) <= 4.0)
+
+
+def test_arrays_keep_the_exact_points():
+    k = 0.6
+    top = u_max(k)
+    assert np.all(u_of_phi(k, np.array([0.0, -0.0])) == 0.0)
+    us = np.array([0.0, 1e-12, -3e-9])
+    # below POLE_EXCLUSION phi = u, as for numbers
+    assert np.array_equal(phi_of_u(k, us), us)
+    assert phi_of_u(k, np.array([top]))[0] == phi_of_u(k, top)
+    s, c, d = scd_real(k, np.array([0.0]))
+    assert (s[0], c[0], d[0]) == (0.0, 1.0, 1.0)
+    # phi - pi round(phi / pi) leaves the principal branch exact
+    phis = np.array([math.pi / 2.0, -math.pi / 2.0, 1.5, 1e-300])
+    assert np.array_equal(phase_speed(k, phis), [phase_speed(k, float(p)) for p in phis])
+
+
+def test_arrays_are_refused_whole():
+    k = 0.5
+    top = u_max(k)
+    for f, bad in ((phase_speed, math.nan), (phase_speed, math.inf),
+                   (u_of_phi, math.nan), (u_of_phi, 1.6), (u_of_phi, -2.0)):
+        with pytest.raises(DomainError):
+            f(k, np.array([0.3, bad, 0.4]))
+    for f in (phi_of_u, scd_real):
+        for bad in (math.nan, top * (1.0 + 1e-9), -2.0 * top):
+            with pytest.raises(RangeError):
+                f(k, np.array([0.1, bad]))
+    with pytest.raises(DomainError):
+        u_of_phi(1.5, np.array([0.3]))
+
+
+def test_array_phase_integral_stalls_where_the_number_one_does():
+    # near k = 1 the integrand of u(phi) is noisy near pi/2, and the
+    # quadrature raises ConvergenceError at some moduli; an array entry
+    # must reach the same verdict as the number, and the same value
+    stalled = 0
+    for one_minus_k in np.geomspace(1e-7, 1e-3, 200):
+        k = 1.0 - float(one_minus_k)
+        for phi in (math.pi / 2.0, 1.5, 1.2):
+            try:
+                number = u_of_phi(k, phi)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    u_of_phi(k, np.array([phi]))
+                stalled += 1
+                continue
+            assert u_of_phi(k, np.array([phi]))[0] == pytest.approx(number, rel=1e-15, abs=0)
+    assert 0 < stalled < 600

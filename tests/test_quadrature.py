@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from shenell import ConvergenceError, DomainError, QuadratureConfig, integrate
@@ -33,3 +34,57 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_refinements=0)
+
+
+# The recursive integrator that the level-by-level engine replaced: the
+# same rule, acceptance test and bisection tree, depth first.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+
+def _recursive_reference(f, a, b, abs_tol=1e-13, max_refinements=30):
+    def panel(lo, hi):
+        h, c = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        return h * sum(float(w) * f(c + h * float(x)) for x, w in zip(_NODES, _WEIGHTS))
+
+    length = abs(b - a)
+
+    def refine(lo, hi, coarse, depth):
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        est = abs(left + right - coarse)
+        if est <= max(abs_tol * abs(hi - lo) / length, 3e-15 * (abs(left) + abs(right))):
+            return left + right
+        if depth >= max_refinements:
+            raise ConvergenceError("stalled")
+        return refine(lo, mid, left, depth + 1) + refine(mid, hi, right, depth + 1)
+
+    return refine(a, b, panel(a, b), 1)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (math.sin, 0.0, math.pi),
+    (math.cos, 2.0, -1.0),
+    (lambda x: math.sin(50.0 * x), 0.0, 10.0),
+    (lambda x: 1.0 / math.sqrt(x * x + 1e-6), -0.3, 1.0),
+    (lambda x: math.exp(-x * x) * math.cos(3.0 * x), -4.0, 5.0),
+])
+def test_matches_the_recursive_bisection_bitwise(f, a, b):
+    # level by level, each integral is summed over the same tree of panels
+    # in the same order, so it is the same double
+    assert integrate(f, a, b) == _recursive_reference(f, a, b)
+
+
+def test_work_is_bounded_whatever_the_refinement_budget():
+    # noise never converges: each level bisects every panel, so the panels
+    # double per level until the engine's fixed panel budget stops them,
+    # even where max_refinements would allow 1000 levels
+    rng = np.random.default_rng(11)
+    calls = []
+
+    def noise(x):
+        calls.append(x)
+        return rng.standard_normal()
+
+    with pytest.raises(ConvergenceError):
+        integrate(noise, 0.0, 1.0, QuadratureConfig(max_refinements=1000))
+    assert 15 * 2 ** 10 < len(calls) <= 15 * 2 ** 14
