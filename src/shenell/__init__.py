@@ -10,9 +10,9 @@ numerically or in exact rational arithmetic.
 
 from .exceptions import (ClassificationError, ConvergenceError, DegenerateError,
                          DomainError, PoleError, RangeError, ShenError)
-from .field import (D_POLE_TOL, ShenContext, c_squared, cubic_relation_residual,
-                    d_complex, d_ode_residual, pole_order_slope, q_with_prime,
-                    s_squared, sc_product, substitution_chain_check)
+from .field import (D_POLE_TOL, c_squared, cubic_relation_residual, d_complex,
+                    d_ode_residual, pole_order_slope, s_squared, sc_product,
+                    substitution_chain_check)
 from .hypergeometric import SeriesConfig, f_closed, f_series, triplication_residual
 from .phase import (Modulus, ScdTriple, derivative_residuals, phase_speed,
                     phi_of_u, scd_real, u_max, u_of_phi)
@@ -23,10 +23,10 @@ from .poles import (DiscriminantPair, RationalPoly, RootClassification,
 from .quadrature import QuadratureConfig, integrate
 from .verify import (SUITES, VerificationReport, available_suites,
                      default_tolerance, run_suite, run_suites)
-from .weierstrass import (POLE_EXCLUSION, Invariants, Lattice, duplication_check,
-                          exact_invariants, invariants_of_modulus,
-                          lattice_of_invariants, reduce_to_cell, wp, wp_prime,
-                          wp_with_prime)
+from .weierstrass import (POLE_EXCLUSION, Invariants, Lattice, ShenContext,
+                          duplication_check, exact_invariants, invariants_of_modulus,
+                          lattice_of_invariants, q_with_prime, reduce_to_cell, wp,
+                          wp_prime, wp_with_prime)
 
 __version__ = "0.1.0"
 
@@ -37,12 +37,12 @@ __all__ = [
     "QuadratureConfig", "integrate",
     "Modulus", "ScdTriple", "derivative_residuals", "phase_speed", "phi_of_u",
     "scd_real", "u_max", "u_of_phi",
-    "POLE_EXCLUSION", "Invariants", "Lattice", "duplication_check",
+    "POLE_EXCLUSION", "Invariants", "Lattice", "ShenContext", "duplication_check",
     "exact_invariants", "invariants_of_modulus", "lattice_of_invariants",
-    "reduce_to_cell", "wp", "wp_prime", "wp_with_prime",
-    "D_POLE_TOL", "ShenContext", "c_squared", "cubic_relation_residual",
-    "d_complex", "d_ode_residual", "pole_order_slope", "q_with_prime", "s_squared",
-    "sc_product", "substitution_chain_check",
+    "q_with_prime", "reduce_to_cell", "wp", "wp_prime", "wp_with_prime",
+    "D_POLE_TOL", "c_squared", "cubic_relation_residual", "d_complex",
+    "d_ode_residual", "pole_order_slope", "s_squared", "sc_product",
+    "substitution_chain_check",
     "DiscriminantPair", "RationalPoly", "RootClassification", "certify_pole",
     "classify_quartic_roots", "cubic_discriminant", "cubic_factor",
     "factorization_check", "invariants_exact", "quartic_f",

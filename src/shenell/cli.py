@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShenError
-from .field import BATCH_FUNCTIONS, ShenContext
+from .field import BATCH_FUNCTIONS
 from .verify import VerificationReport, available_suites, run_suites
-from .weierstrass import invariants_of_modulus
+from .weierstrass import ShenContext, invariants_of_modulus
 
 #: Most points a grid spec, or a whole ``sample`` grid, may hold.
 MAX_GRID_POINTS = 1_000_000

@@ -6,25 +6,22 @@ d extends off the real axis as the rational function of wp
 
 elliptic of order two with simple poles at +-(2/3) i K' in the cell.
 Q is of order k^2 near those poles, so it is never formed as wp + 1/3
-(see ``q_with_prime``). s^2 = (1 - d)(2 + d)^2 / (4 k^2), taken as
+(see ``weierstrass.q_with_prime``). s^2 = (1 - d)(2 + d)^2 / (4 k^2), taken as
 (3 Q - (4/9) k^2)^2 / (9 Q^3), and c^2 = 1 - s^2 are elliptic with triple
 poles; s and c themselves are not elliptic and are only exposed on the
 real principal branch (see :mod:`shenell.phase`).
 
-Each function of z has one body for a number and an ndarray, as the
-kernel does: where a number raises PoleError, an array holds nan.
+Each function of z takes ``(ctx, z)`` and has one body for a number and
+an ndarray, as the kernel does: where a number raises PoleError, an array holds nan.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DegenerateError, PoleError
-from .weierstrass import (Invariants, Lattice, Modulus, _root_differences, _wp_minus_root,
-                          invariants_of_modulus, lattice_of_invariants, wp_with_prime)
+from .weierstrass import ShenContext, q_with_prime, wp  # also read as field.ShenContext
 
 #: A pole of d is |Q| = |wp + 1/3| < D_POLE_TOL * (8/27) k^2. Near a pole
 #: z0, Q ~ wp'(z0) (z - z0) with |wp'(z0)| = (8/27) k^2, so the excluded
@@ -32,47 +29,6 @@ from .weierstrass import (Invariants, Lattice, Modulus, _root_differences, _wp_m
 D_POLE_TOL = 1e-10
 
 _UNIT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ShenContext:
-    """A modulus with its invariants, lattice (with the wp kernel constants) and Q roots.
-
-    ``q_roots`` is derived from the other fields. The roots
-    Q1 > Q2 > Q3 of Q = wp + 1/3 (Q'^2 = 4 Q^3 - 4 Q^2 + (32/27) k^2 Q -
-    (64/729) k^4) are e_j + 1/3, but Q2 and Q3 are of order k^2, so they
-    come from k: Q2 + Q3 = sqrt((e2 - e3)^2 + (64/729) k^4 / Q1),
-    Q2 = (Q2 + Q3 + e2 - e3) / 2 and Q3 = (16/729) k^4 / (Q1 Q2).
-    """
-
-    k: Modulus
-    inv: Invariants
-    lat: Lattice
-    q_roots: tuple = field(init=False)
-
-    def __post_init__(self):
-        q1 = self.lat.e1 + 1.0 / 3.0
-        d23 = _root_differences(self.inv)[2]
-        k4 = (self.k * self.k) ** 2
-        q2 = 0.5 * (math.sqrt(d23 * d23 + (64.0 / 729.0) * k4 / q1) + d23)
-        object.__setattr__(self, "q_roots", (q1, q2, (16.0 / 729.0) * k4 / (q1 * q2)))
-
-    @classmethod
-    @lru_cache(maxsize=32, typed=True)
-    def from_modulus(cls, k: Modulus) -> "ShenContext":
-        """The context of ``k``, kept per value and type for the 32 most recent; errors are not."""
-        inv = invariants_of_modulus(k)
-        return cls(k=k, inv=inv, lat=lattice_of_invariants(inv))
-
-
-def q_with_prime(ctx: ShenContext, z) -> tuple:
-    """(Q(z), wp'(z)) with Q = wp + 1/3, accurate relative to max(|Q|, k^2).
-
-    Q is Q3 plus the theta quotient for wp - e3 (Q1 plus wp - e1 when the
-    kernel is rotated). z and the pole rules are as in ``wp_with_prime``.
-    """
-    part, dp = _wp_minus_root(z, ctx.lat)
-    return ctx.q_roots[0 if ctx.lat.nome.rotated else 2] + part, dp
 
 
 class _Evaluated(NamedTuple):
@@ -120,8 +76,10 @@ def _d_of_q(ctx, q):
     return 1.0 - (4.0 / 9.0) * ctx.k ** 2 / q
 
 
-def _s2_of_d(ctx, d):
-    return (1.0 - d) * ((2.0 + d) * (2.0 + d)) / (4.0 * ctx.k ** 2)
+def _s2_of_q(ctx, q):
+    # (1 - d)(2 + d)^2 / (4 k^2) with 1 - d = (4/9) k^2 / Q, 2 + d = (3 Q - (4/9) k^2) / Q
+    t = 3.0 * q - (4.0 / 9.0) * ctx.k ** 2
+    return t * t / (9.0 * (q * q * q))
 
 
 def _substitution_residual(ctx, one_minus_d, q):
@@ -147,13 +105,7 @@ def s_squared(ctx: ShenContext, z):
     every k, where 1 - d rounded off d ~ 1 costs ~eps / k^2. 0 at lattice
     points; poles as ``d_complex``.
     """
-    a = (4.0 / 9.0) * ctx.k ** 2
-
-    def formula(q, _):
-        t = 3.0 * q - a
-        return t * t / (9.0 * (q * q * q))
-
-    return _by_pole_rules(ctx, z, formula, complex(0.0, 0.0))
+    return _by_pole_rules(ctx, z, lambda q, _: _s2_of_q(ctx, q), complex(0.0, 0.0))
 
 
 def c_squared(ctx: ShenContext, z):
@@ -184,14 +136,17 @@ BATCH_FUNCTIONS = {
     "s2": s_squared,
     "c2": c_squared,
     "sc": sc_product,
-    "wp": lambda ctx, z: wp_with_prime(z, ctx.inv, ctx.lat)[0],
+    "wp": wp,
 }
 
 
 def cubic_relation_residual(ctx: ShenContext, z):
-    """|d^3 + 3 d^2 - 4 (1 - k^2 s^2)| at a number or an array z; poles as ``d_complex``."""
-    d = d_complex(ctx, z)
-    return abs(d ** 3 + 3.0 * d ** 2 - 4.0 * (1.0 - ctx.k ** 2 * _s2_of_d(ctx, d)))
+    """|d^3 + 3 d^2 - 4 (1 - k^2 s^2)| with d and s^2 from one Q; z and poles as ``d_complex``."""
+    def residual(q, _):
+        d = _d_of_q(ctx, q)
+        return abs(d ** 3 + 3.0 * d ** 2 - 4.0 * (1.0 - ctx.k ** 2 * _s2_of_q(ctx, q)))
+
+    return _by_pole_rules(ctx, z, residual, 0.0)
 
 
 def d_ode_residual(ctx: ShenContext, z):

@@ -27,9 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, RangeError
-from .field import ShenContext, q_with_prime
 from .quadrature import _integrate_all, integrate
-from .weierstrass import POLE_EXCLUSION, Modulus, _check_modulus
+from .weierstrass import POLE_EXCLUSION, Modulus, ShenContext, _check_modulus, q_with_prime
 
 _HALF_PI = math.pi / 2.0
 

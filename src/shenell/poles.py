@@ -22,9 +22,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exceptions import ClassificationError
-from .field import ShenContext, q_with_prime
-from .weierstrass import (Invariants, Modulus, _check_modulus, _exact_k2, _invariant_ratios,
-                          exact_invariants)
+from .weierstrass import (Invariants, Modulus, ShenContext, _check_modulus, _exact_k2,
+                          _invariant_ratios, exact_invariants, q_with_prime)
 
 
 class RationalPoly:

@@ -27,12 +27,13 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .field import (ShenContext, _Evaluated, _s2_of_d, _substitution_residual,
-                    cubic_relation_residual, d_complex, d_ode_residual, pole_order_slope,
-                    q_with_prime, s_squared, sc_product, substitution_chain_check)
+from .field import (_Evaluated, _substitution_residual, c_squared, cubic_relation_residual,
+                    d_complex, d_ode_residual, pole_order_slope, s_squared, sc_product,
+                    substitution_chain_check)
 from .phase import _phase_and_q, phi_of_u, scd_real, u_max, u_of_phi
 from .poles import certify_pole, factorization_check
-from .weierstrass import _check_modulus, _duplication_residual, wp_with_prime
+from .weierstrass import (ShenContext, _check_modulus, _duplication_residual, q_with_prime,
+                          wp_with_prime)
 
 GENERIC_DEFAULT_TOL = 1e-9
 _ENV_VAR = "SHEN_DEFAULT_TOL"
@@ -122,7 +123,7 @@ def _suite_duplication(k):
     ctx = ShenContext.from_modulus(k)
 
     def accept(a):
-        p, dp = wp_with_prime(np.concatenate([a, 2.0 * a]), ctx.inv, ctx.lat)
+        p, dp = wp_with_prime(ctx, np.concatenate([a, 2.0 * a]))
         pa, dpa, p2a = p[:a.size], dp[:a.size], p[a.size:]
         return ((np.abs(pa) <= 20.0) & (np.abs(dpa) >= 0.1) & (np.abs(p2a) <= 100.0),
                 (pa, dpa, p2a))
@@ -181,13 +182,11 @@ def _suite_periodicity(k):
     zs, q, dp = _sample_cell(ctx, _rng("periodicity", k), 50, away_from_d_poles)
     # Q and wp' at zs, then at its translates by the periods 2K and 2iK'
     moved = _kernel(ctx, np.concatenate([zs + 2.0 * ctx.lat.K, zs + 2.0j * ctx.lat.K_prime]))
-    q, dp = np.concatenate([q, moved.q]), np.concatenate([dp, moved.dp])
-    d = d_complex(ctx, _Evaluated(q, dp))
-    s2 = _s2_of_d(ctx, d)
+    at = _Evaluated(np.concatenate([q, moved.q]), np.concatenate([dp, moved.dp]))
     first = np.s_[:, :8]  # sc at the first 8 points of zs and their translates
-    sc = sc_product(ctx, _Evaluated(q.reshape(3, -1)[first].ravel(),
-                                    dp.reshape(3, -1)[first].ravel()))
-    gaps = [_period_gap(values) for values in (d, s2, 1.0 - s2, sc)]
+    head = _Evaluated(*(column.reshape(3, -1)[first].ravel() for column in at))
+    gaps = [_period_gap(f(ctx, at)) for f in (d_complex, s_squared, c_squared)]
+    gaps.append(_period_gap(sc_product(ctx, head)))
     return 3 * 2 * zs.size + 2 * 8, float(np.max(gaps))
 
 

@@ -12,13 +12,15 @@ The lattice is closed form: the root differences from the trigonometric
 solution of the cubic, and K, K' from the arithmetic-geometric mean. wp
 is a quotient of Jacobi theta functions (DLMF 20.2, 23.6(i)) with a nome
 of at most exp(-pi), so a fixed number of terms reaches full precision
-and the same code evaluates Python scalars and numpy arrays.
+and the same code evaluates Python scalars and numpy arrays. Every
+function of z takes ``(ctx, z)``, a ``ShenContext`` and the point.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,6 +164,37 @@ def lattice_of_invariants(inv: Invariants) -> Lattice:
                    e1=(d12 + d13) / 3.0, e2=(d23 - d12) / 3.0, e3=-(d13 + d23) / 3.0)
 
 
+@dataclass(frozen=True)
+class ShenContext:
+    """A modulus with its invariants, lattice (with the wp kernel constants) and Q roots.
+
+    ``q_roots`` is derived from the other fields. The roots
+    Q1 > Q2 > Q3 of Q = wp + 1/3 (Q'^2 = 4 Q^3 - 4 Q^2 + (32/27) k^2 Q -
+    (64/729) k^4) are e_j + 1/3, but Q2 and Q3 are of order k^2, so they
+    come from k: Q2 + Q3 = sqrt((e2 - e3)^2 + (64/729) k^4 / Q1),
+    Q2 = (Q2 + Q3 + e2 - e3) / 2 and Q3 = (16/729) k^4 / (Q1 Q2).
+    """
+
+    k: Modulus
+    inv: Invariants
+    lat: Lattice
+    q_roots: tuple = field(init=False)
+
+    def __post_init__(self):
+        q1 = self.lat.e1 + 1.0 / 3.0
+        d23 = _root_differences(self.inv)[2]
+        k4 = (self.k * self.k) ** 2
+        q2 = 0.5 * (math.sqrt(d23 * d23 + (64.0 / 729.0) * k4 / q1) + d23)
+        object.__setattr__(self, "q_roots", (q1, q2, (16.0 / 729.0) * k4 / (q1 * q2)))
+
+    @classmethod
+    @lru_cache(maxsize=32, typed=True)
+    def from_modulus(cls, k: Modulus) -> "ShenContext":
+        """The context of ``k``, kept per value and type for the 32 most recent; errors are not."""
+        inv = invariants_of_modulus(k)
+        return cls(k=k, inv=inv, lat=lattice_of_invariants(inv))
+
+
 def _theta_coefficients(q):
     """Coefficients in x = 2 q cos 2v of theta3(v) and of theta1(v) / (2 q^(1/4) sin v).
 
@@ -223,33 +256,34 @@ def _theta_quotients(w, nome: Nome, sin, cos):
             nome.c3 * cosine * cosine_part * theta3 * ratio / (denom * denom))
 
 
-def _wp_minus_root(z, lat: Lattice):
-    """(wp(z) - e, wp'(z)), where e is e3, or e1 when ``lat.nome.rotated``.
+def _wp_minus_root(ctx: ShenContext, z):
+    """(wp(z) - e, wp'(z)) for the kernel root e: e3, or e1 when ``ctx.lat.nome.rotated``.
 
     z is reduced to the cell first (DomainError as in ``reduce_to_cell``).
     A number within POLE_EXCLUSION of a lattice point raises PoleError; in
     an ndarray such points, and only they, are nan.
     """
-    w = reduce_to_cell(z, lat)
+    w = reduce_to_cell(ctx, z)
     if not isinstance(w, np.ndarray):
         if abs(w) < POLE_EXCLUSION:
             raise PoleError(f"z={z!r} is within {POLE_EXCLUSION} of a lattice point")
-        return _theta_quotients(w, lat.nome, cmath.sin, cmath.cos)
+        return _theta_quotients(w, ctx.lat.nome, cmath.sin, cmath.cos)
     pole = np.abs(w) < POLE_EXCLUSION
     with np.errstate(all="ignore"):
-        part, dp = _theta_quotients(w, lat.nome, np.sin, np.cos)
+        part, dp = _theta_quotients(w, ctx.lat.nome, np.sin, np.cos)
     return np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
 
 
-def reduce_to_cell(z, lat: Lattice):
+def reduce_to_cell(ctx: ShenContext, z):
     """Translate z, a number or an ndarray, by lattice vectors into the cell [-K, K] x [-K', K'].
 
     z - 2K round(z / 2K) loses a bit of the result per doubling of the
-    period count, so DomainError unless |z| is below ``lat.nome.reach``,
+    period count, so DomainError unless |z| is below ``ctx.lat.nome.reach``,
     2^26 times the shorter period 2 min(K, K'), which keeps 26 of the 53
     bits; a non-finite z fails the same comparison. An ndarray is refused
     whole, before anything is reduced, if any entry fails.
     """
+    lat = ctx.lat
     if not isinstance(z, np.ndarray):
         z = complex(z)
         try:
@@ -271,39 +305,52 @@ def reduce_to_cell(z, lat: Lattice):
     return w
 
 
-def wp_with_prime(z, inv: Invariants, lat: Lattice) -> tuple:
-    """(wp(z), wp'(z)) from theta quotients; ``inv`` is not read again.
+def wp_with_prime(ctx: ShenContext, z) -> tuple:
+    """(wp(z), wp'(z)) from theta quotients; of the context only ``ctx.lat`` is read.
 
     z is a number or an ndarray that ``reduce_to_cell`` accepts, else DomainError. A number
     within POLE_EXCLUSION of a lattice point raises PoleError; an array has nan.
     """
-    part, dp = _wp_minus_root(z, lat)
-    return (lat.e1 if lat.nome.rotated else lat.e3) + part, dp
+    part, dp = _wp_minus_root(ctx, z)
+    return (ctx.lat.e1 if ctx.lat.nome.rotated else ctx.lat.e3) + part, dp
 
 
-def wp(z, inv: Invariants, lat: Lattice) -> complex:
+def q_with_prime(ctx: ShenContext, z) -> tuple:
+    """(Q(z), wp'(z)) with Q = wp + 1/3, accurate relative to max(|Q|, k^2).
+
+    Q is Q3 plus the theta quotient for wp - e3 (Q1 plus wp - e1 when the
+    kernel is rotated). z and the pole rules are as in ``wp_with_prime``.
+    """
+    part, dp = _wp_minus_root(ctx, z)
+    return ctx.q_roots[0 if ctx.lat.nome.rotated else 2] + part, dp
+
+
+def wp(ctx: ShenContext, z) -> complex:
     """Weierstrass wp(z); doubly periodic with periods 2K and 2iK', even."""
-    return wp_with_prime(z, inv, lat)[0]
+    return wp_with_prime(ctx, z)[0]
 
 
-def wp_prime(z, inv: Invariants, lat: Lattice) -> complex:
+def wp_prime(ctx: ShenContext, z) -> complex:
     """wp'(z) as its own theta quotient, never a square root of 4 wp^3 - g2 wp - g3."""
-    return wp_with_prime(z, inv, lat)[1]
+    return wp_with_prime(ctx, z)[1]
 
 
-def duplication_check(a, inv: Invariants, lat: Lattice) -> float:
+def duplication_check(ctx: ShenContext, a) -> float:
     """Absolute residual of wp(2a) + 2 wp(a) = (1/4) (wp''(a) / wp'(a))^2.
 
     Both sides are evaluated independently: the left through two direct
-    wp calls, the right from wp(a), wp'(a) and wp'' = 6 wp^2 - g2/2.
-    Raises DegenerateError when a is congruent to a half-period, where
-    wp'(a) = 0 and the right side blows up.
+    wp calls, the right from wp(a), wp'(a) and wp'' = 6 wp^2 - g2/2. A
+    number a raises DegenerateError at a half-period, where wp'(a) = 0, and
+    PoleError at a lattice point; an ndarray a holds nan at both.
     """
-    pa, dpa = wp_with_prime(a, inv, lat)
-    if abs(dpa) < _HALF_PERIOD_TOL:
-        raise DegenerateError(
-            f"wp'(a) ~ 0 at a={a!r}; a is congruent to a half-period")
-    return _duplication_residual(inv, pa, dpa, wp(2.0 * complex(a), inv, lat))
+    pa, dpa = wp_with_prime(ctx, a)
+    half = abs(dpa) < _HALF_PERIOD_TOL
+    if not isinstance(pa, np.ndarray):
+        if half:
+            raise DegenerateError(f"wp'(a) ~ 0 at a={a!r}; a is congruent to a half-period")
+        return _duplication_residual(ctx.inv, pa, dpa, wp(ctx, 2.0 * complex(a)))
+    with np.errstate(all="ignore"):  # wp' may vanish or be nan; those entries are nan
+        return np.where(half, np.nan, _duplication_residual(ctx.inv, pa, dpa, wp(ctx, 2.0 * a)))
 
 
 def _duplication_residual(inv: Invariants, pa, dpa, p2a):

@@ -78,7 +78,7 @@ def test_criterion_03_d_wp_two_path():
             u = u_of_phi(k, phi)
             d = 1.0 / phase_speed(k, phi)
             p = (4.0 / 9.0) * k * k / (1.0 - d) - 1.0 / 3.0
-            worst = max(worst, abs(p - wp(u, ctx.inv, ctx.lat)),
+            worst = max(worst, abs(p - wp(ctx, u)),
                         abs(phi_of_u(k, u) - phi))
     check(3, "d-to-wp two-path agreement", worst < 1e-8,
           f"max |p - wp|, |phi(u(phi)) - phi| {worst:.3e}")
@@ -158,26 +158,26 @@ def test_criterion_09_sc_identity():
 
 def test_criterion_10_weierstrass_self_consistency():
     ctx = ctx_for(0.5)
-    inv, lat = ctx.inv, ctx.lat
+    lat = ctx.lat
     ok = True
     details = []
 
-    ok &= abs(wp(lat.K, inv, lat) - lat.e1) < 1e-10
-    ok &= abs(wp(1j * lat.K_prime, inv, lat) - lat.e3) < 1e-10
+    ok &= abs(wp(ctx, lat.K) - lat.e1) < 1e-10
+    ok &= abs(wp(ctx, 1j * lat.K_prime) - lat.e3) < 1e-10
 
     rng = np.random.default_rng(41)
     worst_period, worst_even = 0.0, 0.0
     for _ in range(20):
         z = complex(rng.uniform(0.1, 0.9) * lat.K, rng.uniform(0.1, 0.9) * lat.K_prime)
-        base = wp(z, inv, lat)
+        base = wp(ctx, z)
         worst_period = max(worst_period,
-                           abs(wp(z + 2 * lat.K, inv, lat) - base),
-                           abs(wp(z + 2j * lat.K_prime, inv, lat) - base))
-        worst_even = max(worst_even, abs(wp(-z, inv, lat) - base))
+                           abs(wp(ctx, z + 2 * lat.K) - base),
+                           abs(wp(ctx, z + 2j * lat.K_prime) - base))
+        worst_even = max(worst_even, abs(wp(ctx, -z) - base))
     ok &= worst_period < 1e-10 and worst_even < 1e-12
     details.append(f"periodicity {worst_period:.2e}, evenness {worst_even:.2e}")
 
-    dup = duplication_check(0.3 * lat.K + 0.4j * lat.K_prime, inv, lat)
+    dup = duplication_check(ctx, 0.3 * lat.K + 0.4j * lat.K_prime)
     ok &= dup < 1e-9
     details.append(f"duplication {dup:.2e}")
 
@@ -186,7 +186,7 @@ def test_criterion_10_weierstrass_self_consistency():
     path += [complex(lat.K, t * lat.K_prime) for t in ts]
     path += [complex((1 - t) * lat.K, lat.K_prime) for t in ts]
     path += [complex(0.0, (1 - t) * lat.K_prime) for t in ts]
-    reals = [wp(z, inv, lat).real for z in path]
+    reals = [wp(ctx, z).real for z in path]
     ok &= all(b < a for a, b in zip(reals, reals[1:]))
     details.append(f"monotone over {len(path)} boundary points")
 

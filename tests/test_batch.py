@@ -29,7 +29,7 @@ _ROUNDING = 1e-12
 
 def _wp_tolerances(ctx, z):
     """Allowed error of the array path's wp(z) and wp'(z)."""
-    p, dp = wp_with_prime(z, ctx.inv, ctx.lat)
+    p, dp = wp_with_prime(ctx, z)
     return _ROUNDING * max(1.0, abs(p)), _ROUNDING * max(1.0, abs(dp))
 
 
@@ -70,7 +70,7 @@ _SCALAR = {
     "s2": s_squared,
     "c2": c_squared,
     "sc": sc_product,
-    "wp": lambda ctx, z: wp_with_prime(z, ctx.inv, ctx.lat)[0],
+    "wp": lambda ctx, z: wp_with_prime(ctx, z)[0],
 }
 
 _OFFSETS = st.one_of(
@@ -88,12 +88,12 @@ def test_batch_kernel_matches_scalar_wp(k, points):
     oracle = wp_oracle_factory(k)
     big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
     zs = [complex((2 * m + u) * big_k, (2 * n + v) * big_kp) for m, n, (u, v) in points]
-    p, dp = wp_with_prime(np.array(zs), ctx.inv, ctx.lat)
+    p, dp = wp_with_prime(ctx, np.array(zs))
     pole = np.isnan(p)
     assert np.array_equal(pole, np.isnan(dp))
     for i, z in enumerate(zs):
         try:
-            sp, sdp = wp_with_prime(z, ctx.inv, ctx.lat)
+            sp, sdp = wp_with_prime(ctx, z)
         except PoleError:
             assert pole[i], z
             continue
@@ -109,8 +109,8 @@ def test_batch_kernel_is_chunk_independent():
     ctx = ShenContext.from_modulus(0.5)
     rng = np.random.default_rng(7)
     z = rng.uniform(-4.0, 4.0, 9000) + 1j * rng.uniform(-6.0, 6.0, 9000)
-    whole = wp_with_prime(z, ctx.inv, ctx.lat)
-    pieces = [wp_with_prime(part, ctx.inv, ctx.lat) for part in np.split(z, [100, 4200])]
+    whole = wp_with_prime(ctx, z)
+    pieces = [wp_with_prime(ctx, part) for part in np.split(z, [100, 4200])]
     for got, parts in zip(whole, zip(*pieces)):
         assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
     # the sampler evaluates in chunks: a 90 x 100 grid row by row and whole
@@ -247,7 +247,7 @@ def test_numbers_and_arrays_too_far_out_raise_domain_error(context_for, huge):
     # the cell reduction has too few digits left to place such z: a number at
     # 1e17 was taken for a lattice point (d exactly 1), an array entry 1e300 too
     ctx = context_for(0.5)
-    functions = [lambda z: wp_with_prime(z, ctx.inv, ctx.lat), lambda z: q_with_prime(ctx, z),
+    functions = [lambda z: wp_with_prime(ctx, z), lambda z: q_with_prime(ctx, z),
                  lambda z: d_complex(ctx, z), lambda z: sc_product(ctx, z),
                  lambda z: d_ode_residual(ctx, z), lambda z: cubic_relation_residual(ctx, z)]
     for z in (huge, complex(0.3, huge), np.array([0.3 + 0.2j, huge]),
@@ -264,7 +264,7 @@ def test_arrays_with_a_non_finite_entry_raise_domain_error(context_for, bad):
     # the kernel refuses the whole array before the cell reduction, with no
     # numpy warning, so nan in a result only ever marks a lattice point
     ctx = context_for(0.5)
-    functions = [lambda z: wp_with_prime(z, ctx.inv, ctx.lat), lambda z: q_with_prime(ctx, z),
+    functions = [lambda z: wp_with_prime(ctx, z), lambda z: q_with_prime(ctx, z),
                  lambda z: d_complex(ctx, z), lambda z: sc_product(ctx, z),
                  lambda z: d_ode_residual(ctx, z)]
     with warnings.catch_warnings():

@@ -7,9 +7,15 @@ private name or reads one off a module. The demos run as tests too.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import shenell
+
+#: every function of the lattice variable z in ``shenell.__all__``
+FUNCTIONS_OF_Z = ("wp", "wp_prime", "wp_with_prime", "q_with_prime", "reduce_to_cell",
+                  "duplication_check", "d_complex", "s_squared", "c_squared", "sc_product",
+                  "cubic_relation_residual", "d_ode_residual", "substitution_chain_check")
 
 TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 DEMO_FILES = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
@@ -86,3 +92,14 @@ def test_all_names_resolve_once():
     assert len(set(shenell.__all__)) == len(shenell.__all__)
     missing = [name for name in shenell.__all__ if not hasattr(shenell, name)]
     assert missing == []
+
+
+def test_functions_of_z_take_the_context_then_z():
+    for name in FUNCTIONS_OF_Z:
+        assert name in shenell.__all__
+        params = list(inspect.signature(getattr(shenell, name)).parameters)
+        assert params[:1] == ["ctx"] and params[1:2] in (["z"], ["a"]), (name, params)
+    # the context carries the lattice: no public function takes one of its own
+    functions = [getattr(shenell, name) for name in shenell.__all__]
+    assert [f.__name__ for f in functions if inspect.isfunction(f)
+            and "lat" in inspect.signature(f).parameters] == []

@@ -221,7 +221,7 @@ def test_substitution_leading_behavior(context_for):
     d = d_complex(ctx, complex(u))
     p = (4.0 / 9.0) * ctx.k ** 2 / (1.0 - d) - 1.0 / 3.0
     assert (u * u * p).real == pytest.approx(1.0, abs=1e-3)
-    assert abs(p - wp(u, ctx.inv, ctx.lat)) < 1e-8
+    assert abs(p - wp(ctx, u)) < 1e-8
 
 
 def test_pole_orders(context_for):

@@ -64,7 +64,7 @@ def test_quartic_root_at_minus_one_third_exactly():
 def test_quartic_vanishes_at_numeric_pole_value(context_for):
     ctx = context_for(0.5)
     f = quartic_f(ctx.inv)
-    b = wp((2.0 / 3.0) * 1j * ctx.lat.K_prime, ctx.inv, ctx.lat)
+    b = wp(ctx, (2.0 / 3.0) * 1j * ctx.lat.K_prime)
     assert abs(f(b)) < 1e-9
 
 
@@ -231,5 +231,5 @@ def test_pole_congruence(context_for):
     # wp((4/3) iK') = wp((2/3) iK') modulo the period 2iK'
     ctx = context_for(0.5)
     a = (2.0 / 3.0) * 1j * ctx.lat.K_prime
-    assert abs(wp(2 * a, ctx.inv, ctx.lat) - wp(a, ctx.inv, ctx.lat)) < 1e-10
+    assert abs(wp(ctx, 2 * a) - wp(ctx, a)) < 1e-10
 

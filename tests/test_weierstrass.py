@@ -89,12 +89,14 @@ def test_lattice_roots(k):
 
 def test_lattice_value_semantics():
     # the kernel constants are derived: not an argument, not in ==, hash or repr
-    lat = lattice_of_invariants(invariants_of_modulus(0.5))
+    inv = invariants_of_modulus(0.5)
+    lat = lattice_of_invariants(inv)
     twin = Lattice(K=lat.K, K_prime=lat.K_prime, e1=lat.e1, e2=lat.e2, e3=lat.e3)
     assert twin == lat and hash(twin) == hash(lat)
     assert repr(twin) == (f"Lattice(K={lat.K!r}, K_prime={lat.K_prime!r}, "
                           f"e1={lat.e1!r}, e2={lat.e2!r}, e3={lat.e3!r})")
-    assert wp_with_prime(0.3 + 0.2j, None, twin) == wp_with_prime(0.3 + 0.2j, None, lat)
+    assert (wp_with_prime(ShenContext(k=0.5, inv=inv, lat=twin), 0.3 + 0.2j)
+            == wp_with_prime(ShenContext(k=0.5, inv=inv, lat=lat), 0.3 + 0.2j))
 
 
 def test_lattice_rejects_nonpositive_discriminant():
@@ -163,20 +165,20 @@ def test_periods_against_raw_quadrature():
 def test_wp_at_half_periods(k, context_for):
     ctx = context_for(k)
     lat = ctx.lat
-    p_k = wp(lat.K, ctx.inv, lat)
-    p_ikp = wp(1j * lat.K_prime, ctx.inv, lat)
+    p_k = wp(ctx, lat.K)
+    p_ikp = wp(ctx, 1j * lat.K_prime)
     assert abs(p_k - lat.e1) < 1e-10
     assert abs(p_ikp - lat.e3) < 1e-10
     # midpoint signs: wp(K) > 0 > wp(iK')
     assert p_k.real > 0.0 > p_ikp.real
-    assert abs(wp_prime(lat.K, ctx.inv, lat)) < 1e-10
-    assert abs(wp_prime(1j * lat.K_prime, ctx.inv, lat)) < 1e-10
+    assert abs(wp_prime(ctx, lat.K)) < 1e-10
+    assert abs(wp_prime(ctx, 1j * lat.K_prime)) < 1e-10
 
 
 def test_laurent_leading_term(context_for):
     ctx = context_for(0.5)
     for z in (1e-3, 1e-3j, 1e-3 * (1 + 1j) / math.sqrt(2)):
-        assert abs(z * z * wp(z, ctx.inv, ctx.lat) - 1.0) < 1e-5
+        assert abs(z * z * wp(ctx, z) - 1.0) < 1e-5
 
 
 @pytest.mark.parametrize("k", K_GRID)
@@ -187,9 +189,9 @@ def test_wp_against_jacobi_oracle(k, context_for):
     for _ in range(25):
         z = complex(rng.uniform(-ctx.lat.K, ctx.lat.K),
                     rng.uniform(-ctx.lat.K_prime, ctx.lat.K_prime))
-        if abs(reduce_to_cell(z, ctx.lat)) < 0.1:
+        if abs(reduce_to_cell(ctx, z)) < 0.1:
             continue
-        assert wp(z, ctx.inv, ctx.lat) == pytest.approx(oracle(z), abs=1e-9)
+        assert wp(ctx, z) == pytest.approx(oracle(z), abs=1e-9)
 
 
 @pytest.mark.parametrize("k", K_GRID)
@@ -202,25 +204,25 @@ def test_wp_random_z_properties(k, context_for):
     while checked < 100:
         z = complex(rng.uniform(-0.9, 0.9) * ctx.lat.K,
                     rng.uniform(-0.9, 0.9) * ctx.lat.K_prime)
-        if abs(reduce_to_cell(z, ctx.lat)) < 0.1:
+        if abs(reduce_to_cell(ctx, z)) < 0.1:
             continue
-        p, dp = wp_with_prime(z, ctx.inv, ctx.lat)
-        assert abs(wp(z + 2.0 * ctx.lat.K, ctx.inv, ctx.lat) - p) < 1e-10
-        assert abs(wp(z + 2.0j * ctx.lat.K_prime, ctx.inv, ctx.lat) - p) < 1e-10
-        assert abs(wp(-z, ctx.inv, ctx.lat) - p) < 1e-12
+        p, dp = wp_with_prime(ctx, z)
+        assert abs(wp(ctx, z + 2.0 * ctx.lat.K) - p) < 1e-10
+        assert abs(wp(ctx, z + 2.0j * ctx.lat.K_prime) - p) < 1e-10
+        assert abs(wp(ctx, -z) - p) < 1e-12
         rhs = 4.0 * p ** 3 - ctx.inv.g2 * p - ctx.inv.g3
         assert abs(dp * dp - rhs) <= 1e-9 * max(1.0, abs(dp * dp))
         checked += 1
     scale = 1e-3 * min(ctx.lat.K, ctx.lat.K_prime)
     for angle in (0.0, 1.1, 2.4):
         z = scale * complex(math.cos(angle), math.sin(angle))
-        assert abs(z * z * wp(z, ctx.inv, ctx.lat) - 1.0) < 1e-5
+        assert abs(z * z * wp(ctx, z) - 1.0) < 1e-5
 
 
 def test_wp_real_negative_on_imaginary_segment(context_for):
     ctx = context_for(0.5)
     for t in np.linspace(0.05, 0.95, 15):
-        value = wp(1j * float(t) * ctx.lat.K_prime, ctx.inv, ctx.lat)
+        value = wp(ctx, 1j * float(t) * ctx.lat.K_prime)
         assert abs(value.imag) < 1e-12
         assert value.real < 0.0
 
@@ -238,7 +240,7 @@ def _rectangle_path(lat, per_segment):
 def test_wp_strictly_decreasing_on_rectangle(context_for):
     ctx = context_for(0.5)
     points = _rectangle_path(ctx.lat, 13)
-    values = [wp(z, ctx.inv, ctx.lat) for z in points]
+    values = [wp(ctx, z) for z in points]
     for v in values:
         assert abs(v.imag) < 1e-10
     reals = [v.real for v in values]
@@ -248,14 +250,14 @@ def test_wp_strictly_decreasing_on_rectangle(context_for):
 def test_duplication_random_points(context_for):
     ctx = context_for(0.5)
     a = 0.3 * ctx.lat.K + 0.4j * ctx.lat.K_prime
-    assert duplication_check(a, ctx.inv, ctx.lat) < 1e-9
+    assert duplication_check(ctx, a) < 1e-9
     rng = np.random.default_rng(5)
     checked = 0
     while checked < 10:
         a = complex(rng.uniform(0.1, 0.9) * ctx.lat.K,
                     rng.uniform(0.1, 0.9) * ctx.lat.K_prime)
         try:
-            assert duplication_check(a, ctx.inv, ctx.lat) < 1e-9
+            assert duplication_check(ctx, a) < 1e-9
         except (PoleError, DegenerateError):
             continue
         checked += 1
@@ -265,14 +267,35 @@ def test_duplication_at_two_thirds_pole_location(context_for):
     # a = (1/3)(2iK'): 2a is congruent to -a, so wp(2a) = wp(a)
     ctx = context_for(0.5)
     a = (2.0 / 3.0) * 1j * ctx.lat.K_prime
-    assert duplication_check(a, ctx.inv, ctx.lat) < 1e-9
-    assert abs(wp(2 * a, ctx.inv, ctx.lat) - wp(a, ctx.inv, ctx.lat)) < 1e-10
+    assert duplication_check(ctx, a) < 1e-9
+    assert abs(wp(ctx, 2 * a) - wp(ctx, a)) < 1e-10
 
 
 def test_duplication_degenerates_at_half_period(context_for):
     ctx = context_for(0.5)
     with pytest.raises(DegenerateError):
-        duplication_check(ctx.lat.K, ctx.inv, ctx.lat)
+        duplication_check(ctx, ctx.lat.K)
+
+
+def test_duplication_check_takes_arrays(context_for):
+    # an array holds nan exactly where a number raises DegenerateError
+    # (a half-period) or PoleError (a lattice point)
+    for k in (0.1, 0.5, 0.9):
+        ctx = context_for(k)
+        big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
+        a = np.array([0.3 + 0.2j, 0.5 + 0.1j, 0.4 * big_k + 0.7j * big_kp, -0.8 * big_k,
+                      big_k, 1j * big_kp, 0.0, 2.0 * big_k + 2.0j * big_kp])
+        values = duplication_check(ctx, a)
+        assert values.shape == a.shape
+        for point, value in zip(a, values):
+            try:
+                number = duplication_check(ctx, complex(point))
+            except (DegenerateError, PoleError):
+                assert math.isnan(value), point
+                continue
+            assert value == pytest.approx(number, rel=0.5, abs=1e-13)
+            assert value < 1e-9
+        assert np.isnan(values[4:]).all()
 
 
 def test_pole_error_at_lattice_points(context_for):
@@ -280,19 +303,20 @@ def test_pole_error_at_lattice_points(context_for):
     for z in (0.0, 2.0 * ctx.lat.K, 2.0j * ctx.lat.K_prime,
               2.0 * ctx.lat.K + 2.0j * ctx.lat.K_prime, 1e-9):
         with pytest.raises(PoleError):
-            wp(z, ctx.inv, ctx.lat)
+            wp(ctx, z)
 
 
 def test_reduce_to_cell(context_for):
-    lat = context_for(0.5).lat
+    ctx = context_for(0.5)
+    lat = ctx.lat
     z = 0.3 + 0.4j
-    assert reduce_to_cell(z + 2 * lat.K, lat) == pytest.approx(z, abs=1e-15)
-    assert reduce_to_cell(z + 4j * lat.K_prime, lat) == pytest.approx(z, abs=1e-14)
+    assert reduce_to_cell(ctx, z + 2 * lat.K) == pytest.approx(z, abs=1e-15)
+    assert reduce_to_cell(ctx, z + 4j * lat.K_prime) == pytest.approx(z, abs=1e-14)
     # 2^24 periods out the reduction still keeps over 26 bits of the cell
     far = z + 2 ** 24 * (2 * lat.K + 2j * lat.K_prime)
-    assert reduce_to_cell(far, lat) == pytest.approx(z, abs=2 ** -26)
-    zs = reduce_to_cell(np.array([z, far]), lat)
-    assert zs[0] == reduce_to_cell(z, lat) and zs[1] == reduce_to_cell(far, lat)
+    assert reduce_to_cell(ctx, far) == pytest.approx(z, abs=2 ** -26)
+    zs = reduce_to_cell(ctx, np.array([z, far]))
+    assert zs[0] == reduce_to_cell(ctx, z) and zs[1] == reduce_to_cell(ctx, far)
 
 
 @pytest.mark.parametrize("z", [1e16, 1e17, 1e300, -1e17, 1e17j, 0.3 - 1e300j,
@@ -303,18 +327,18 @@ def test_huge_z_is_a_domain_error(z, context_for):
     ctx = context_for(0.5)
     for arg in (z, np.array([0.3 + 0.2j, z])):
         with pytest.raises(DomainError, match="2\\^26 periods"):
-            reduce_to_cell(arg, ctx.lat)
+            reduce_to_cell(ctx, arg)
         with pytest.raises(DomainError):
-            wp(arg, ctx.inv, ctx.lat)
+            wp(ctx, arg)
         with pytest.raises(DomainError):
             q_with_prime(ctx, arg)
 
 
 ENTRY_POINTS = {
-    "wp": lambda ctx, x: wp(x, ctx.inv, ctx.lat),
-    "wp_imag": lambda ctx, x: wp(complex(0.3, x), ctx.inv, ctx.lat),
-    "wp_prime": lambda ctx, x: wp_prime(x, ctx.inv, ctx.lat),
-    "wp_with_prime": lambda ctx, x: wp_with_prime(x, ctx.inv, ctx.lat),
+    "wp": lambda ctx, x: wp(ctx, x),
+    "wp_imag": lambda ctx, x: wp(ctx, complex(0.3, x)),
+    "wp_prime": lambda ctx, x: wp_prime(ctx, x),
+    "wp_with_prime": lambda ctx, x: wp_with_prime(ctx, x),
     "phi_of_u": lambda ctx, x: phi_of_u(ctx.k, x),
     "scd_real": lambda ctx, x: scd_real(ctx.k, x),
     "u_of_phi": lambda ctx, x: u_of_phi(ctx.k, x),
