@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, RangeError
-from .quadrature import _integrate_all, integrate
+from .quadrature import _integrate_all
 from .weierstrass import POLE_EXCLUSION, Modulus, ShenContext, _check_modulus, q_with_prime
 
 _HALF_PI = math.pi / 2.0
@@ -51,9 +51,12 @@ def phase_speed(k: Modulus, phi):
     phi = 0. Even and pi-periodic in ``phi``, a number or an ndarray.
     Other phi are reduced to [-pi/2, pi/2]: a number with
     ``math.remainder``, an array as phi - pi round(phi / pi), which is
-    exact on that branch. Raises DomainError where k |sin phi| >= 1, and
-    for a non-finite entry of an array, which is refused whole.
+    exact on that branch. Raises DomainError unless 0 < k < 1, where
+    k |sin phi| >= 1, and for a non-finite entry of an array, which is
+    refused whole.
     """
+    if not 0.0 < k < 1.0:
+        raise DomainError(f"modulus out of range (0, 1): k={k!r}")
     array = isinstance(phi, np.ndarray)
     if array:
         if not np.isfinite(phi).all():
@@ -78,27 +81,23 @@ def u_of_phi(k: Modulus, phi):
 
     Odd and strictly increasing in ``phi``; u(0) = 0. The integrand is
     even in theta, so the integral runs over [0, |phi|] and the sign is
-    restored afterwards, making oddness exact in floating point. An
-    ndarray ``phi`` takes all its integrals in one call of the quadrature
-    engine, each level of panels in one array call of ``phase_speed``;
-    it is refused whole (DomainError) if an entry is nan or off the
-    branch, and raises ConvergenceError if any integral stalls.
+    restored afterwards, making oddness exact in floating point. A number
+    is the one-entry ndarray, returned as a float. An ndarray takes all
+    its integrals in one engine call, each level of panels in one array
+    call of ``phase_speed``; it is refused whole (DomainError) if an entry
+    is nan or off the branch, and raises ConvergenceError if one stalls.
     """
     _check_modulus(k)
-    if isinstance(phi, np.ndarray):
-        size = np.abs(phi)
-        if not (size <= _HALF_PI).all():  # also rejects nan
-            raise DomainError("phi holds an entry outside the principal branch "
-                              "[-pi/2, pi/2], or nan")
-        flat = size.ravel()
-        values = _integrate_all(lambda theta: phase_speed(k, theta), np.zeros_like(flat), flat)
-        return np.copysign(values.reshape(phi.shape), phi)
-    if not abs(phi) <= _HALF_PI:  # also rejects nan
-        raise DomainError(f"phi={phi!r} outside the principal branch [-pi/2, pi/2]")
-    if phi == 0.0:
-        return 0.0
-    value = integrate(lambda theta: phase_speed(k, theta), 0.0, abs(phi))
-    return math.copysign(value, phi)
+    array = isinstance(phi, np.ndarray)
+    phis = phi if array else np.array([phi], dtype=float)
+    size = np.abs(phis)
+    if not (size <= _HALF_PI).all():  # also rejects nan
+        raise DomainError("phi, or an entry of it, is outside the principal branch "
+                          "[-pi/2, pi/2], or nan")
+    flat = size.ravel()
+    values = _integrate_all(lambda theta: phase_speed(k, theta), np.zeros_like(flat), flat)
+    values = np.copysign(values.reshape(phis.shape), phis)
+    return values if array else values[0].item()
 
 
 def u_max(k: Modulus) -> float:

@@ -113,8 +113,8 @@ def _cubic_numerators(n, d):
 
 def cubic_factor(k2) -> RationalPoly:
     """The cubic w^3 - w^2 + (16 k^2 - 15)/3 w - (9 - 8 k^2)^2 / 27."""
-    k2 = _exact_k2(k2)
-    return RationalPoly([-((9 - 8 * k2) ** 2) / 27, (16 * k2 - 15) / 3, -1, 1])
+    n, d = _exact_k2(k2).as_integer_ratio()
+    return RationalPoly([Fraction(c, 27 * d * d) for c in _cubic_numerators(n, d)])
 
 
 def factorization_check(k2) -> bool:

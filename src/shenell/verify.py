@@ -2,12 +2,14 @@
 
 Each suite evaluates one family of identities at a deterministic sample
 set for a given modulus and reports the worst residual against a
-tolerance. The samples are drawn as arrays and passed to the public
-functions of :mod:`shenell.field` and :mod:`shenell.phase`, which take
-arrays as they take numbers. The kernel is evaluated once per sample:
-a suite that draws its samples by rejection keeps the kernel values its
-acceptance test computed, and hands them to the field functions in place
-of the points. Default tolerances are pinned per suite where an identity has
+tolerance. ``run_suite`` turns the modulus into a ``ShenContext`` once,
+and every suite runner takes that context. The samples are drawn as
+arrays and passed to the public functions of :mod:`shenell.field` and
+:mod:`shenell.phase`, which take arrays as they take numbers. The kernel
+is evaluated once per sample: a suite that draws its samples by
+rejection keeps the kernel values its acceptance test computed, and
+hands them to the field functions in place of the points. Default
+tolerances are pinned per suite where an identity has
 a natural accuracy scale (derivatives and period shifts near poles,
 slope fits, exact arithmetic); the rest use the generic default of
 1e-9, overridable through the SHEN_DEFAULT_TOL environment variable.
@@ -30,10 +32,9 @@ from .exceptions import ConvergenceError, DomainError
 from .field import (_Evaluated, _substitution_residual, c_squared, cubic_relation_residual,
                     d_complex, d_ode_residual, pole_order_slope, s_squared, sc_product,
                     substitution_chain_check)
-from .phase import _phase_and_q, phi_of_u, scd_real, u_max, u_of_phi
+from .phase import _phase_and_q, phi_of_u, scd_real, u_of_phi
 from .poles import certify_pole, factorization_check
-from .weierstrass import (ShenContext, _check_modulus, _duplication_residual, q_with_prime,
-                          wp_with_prime)
+from .weierstrass import ShenContext, _duplication_residual, q_with_prime, wp_with_prime
 
 GENERIC_DEFAULT_TOL = 1e-9
 _ENV_VAR = "SHEN_DEFAULT_TOL"
@@ -60,16 +61,18 @@ def _rng(name, k):
     return np.random.default_rng(seed)
 
 
-def _sample_cell(ctx, rng, count, accept):
+def _sample_cell(ctx, name, count, accept):
     """The first ``count`` points of the period cell that ``accept`` passes, and its values there.
 
-    Candidates are uniform over 0.95 of the cell, drawn in blocks but in
-    the order of one draw per coordinate. ``accept`` maps an array of
-    them to a boolean mask, in which a pole counts as a rejection, and a
-    tuple of arrays of values at the candidates. Returns the tuple
+    Candidates are uniform over 0.95 of the cell, drawn from the stream
+    of suite ``name`` at ``ctx.k`` in blocks but in the order of one draw
+    per coordinate. ``accept`` maps an array of them to a boolean mask,
+    in which a pole counts as a rejection, and a tuple of arrays of
+    values at the candidates. Returns the tuple
     (points, *values) cut to the accepted points. At most 200 * count
     candidates are tried.
     """
+    rng = _rng(name, ctx.k)
     scale = np.array([ctx.lat.K, ctx.lat.K_prime])
     kept = []
     for _ in range(100):  # blocks of 2 * count: the 200 * count budget
@@ -93,25 +96,22 @@ def _period_gap(values):
     return np.max(np.abs(rows[1:] - rows[0]))
 
 
-def _suite_pythagorean(k):
-    s, c, _ = scd_real(k, np.linspace(-0.95, 0.95, 21) * u_max(k))
+def _suite_pythagorean(ctx):
+    s, c, _ = scd_real(ctx.k, np.linspace(-0.95, 0.95, 21) * ctx.lat.K)
     return s.size, float(np.max(np.abs(s * s + c * c - 1.0)))
 
 
-def _suite_cubic_relation(k):
-    ctx = ShenContext.from_modulus(k)
-
+def _suite_cubic_relation(ctx):
     def accept(z):
         at = _kernel(ctx, z)
         return np.abs(d_complex(ctx, at)) <= 50.0, at
 
-    zs, q, dp = _sample_cell(ctx, _rng("cubic-relation", k), 40, accept)
+    zs, q, dp = _sample_cell(ctx, "cubic-relation", 40, accept)
     return zs.size, float(np.max(cubic_relation_residual(ctx, _Evaluated(q, dp))))
 
 
-def _suite_d_ode(k):
-    ctx = ShenContext.from_modulus(k)
-    rng = _rng("d-ode", k)
+def _suite_d_ode(ctx):
+    rng = _rng("d-ode", ctx.k)
     real = rng.uniform(0.15, 0.9, 10) * ctx.lat.K
     plane = rng.uniform([-0.9, -0.45], [0.9, 0.45], size=(10, 2)) * [ctx.lat.K, ctx.lat.K_prime]
     zs = np.concatenate([real.astype(complex), plane.view(complex).ravel()])
@@ -119,28 +119,25 @@ def _suite_d_ode(k):
     return zs.size, float(np.max(d_ode_residual(ctx, zs)))
 
 
-def _suite_duplication(k):
-    ctx = ShenContext.from_modulus(k)
-
+def _suite_duplication(ctx):
     def accept(a):
         p, dp = wp_with_prime(ctx, np.concatenate([a, 2.0 * a]))
         pa, dpa, p2a = p[:a.size], dp[:a.size], p[a.size:]
         return ((np.abs(pa) <= 20.0) & (np.abs(dpa) >= 0.1) & (np.abs(p2a) <= 100.0),
                 (pa, dpa, p2a))
 
-    zs, *values = _sample_cell(ctx, _rng("duplication", k), 20, accept)
+    zs, *values = _sample_cell(ctx, "duplication", 20, accept)
     return zs.size, float(np.max(_duplication_residual(ctx.inv, *values)))
 
 
-def _suite_substitution_chain(k):
-    ctx = ShenContext.from_modulus(k)
+def _suite_substitution_chain(ctx):
     # real axis: u and d from the defining integral and its integrand at
     # phi, a path fully independent of wp, against wp(u) and its inverse.
     # d = 1/F is within (4/9) k^2 of 1, so 1 - d is taken as (F - 1)/F =
     # 2 sin(2a/3) tan(a/3), a = asin(k |sin phi|), not rounded off d
-    phi = phi_of_u(k, np.linspace(0.15, 0.9, 10) * ctx.lat.K)
-    phi_again, q = _phase_and_q(ctx, u_of_phi(k, phi))
-    a = np.arcsin(k * np.abs(np.sin(phi)))
+    phi = phi_of_u(ctx.k, np.linspace(0.15, 0.9, 10) * ctx.lat.K)
+    phi_again, q = _phase_and_q(ctx, u_of_phi(ctx.k, phi))
+    a = np.arcsin(ctx.k * np.abs(np.sin(phi)))
     one_minus_d = 2.0 * np.sin(2.0 * a / 3.0) * np.tan(a / 3.0)
     real = [_substitution_residual(ctx, one_minus_d, q), np.abs(phi_again - phi)]
 
@@ -151,35 +148,32 @@ def _suite_substitution_chain(k):
     def accept(z):
         at = _kernel(ctx, z)
         d = d_complex(ctx, at)
-        return (np.abs(1.0 - d) > 1e-3 * k) & (np.abs(d) <= 50.0), at
+        return (np.abs(1.0 - d) > 1e-3 * ctx.k) & (np.abs(d) <= 50.0), at
 
-    _, q, dp = _sample_cell(ctx, _rng("substitution-chain", k), 10, accept)
+    _, q, dp = _sample_cell(ctx, "substitution-chain", 10, accept)
     plane = substitution_chain_check(ctx, _Evaluated(q, dp))
     return 20, float(np.max(np.concatenate([*real, plane])))
 
 
-def _suite_factorization(k):
-    return 1, 0.0 if factorization_check(Fraction(k) ** 2) else 1.0
+def _suite_factorization(ctx):
+    return 1, 0.0 if factorization_check(Fraction(ctx.k) ** 2) else 1.0
 
 
-def _suite_pole(k):
-    ctx = ShenContext.from_modulus(k)
+def _suite_pole(ctx):
     residual = certify_pole(ctx)
     a = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
     congruence = abs(q_with_prime(ctx, 2.0 * a)[0] - q_with_prime(ctx, a)[0])
     return 2, max(residual, congruence)
 
 
-def _suite_periodicity(k):
-    ctx = ShenContext.from_modulus(k)
-
+def _suite_periodicity(ctx):
     def away_from_d_poles(z):
         # |Q| = |wp + 1/3| >= 0.15 caps |dd/dQ| at (4/9)/0.15^2 ~ 20 for
         # every k, which keeps wp evaluation noise from leaking into d and s^2
         at = _kernel(ctx, z)
         return np.abs(at.q) >= 0.15, at
 
-    zs, q, dp = _sample_cell(ctx, _rng("periodicity", k), 50, away_from_d_poles)
+    zs, q, dp = _sample_cell(ctx, "periodicity", 50, away_from_d_poles)
     # Q and wp' at zs, then at its translates by the periods 2K and 2iK'
     moved = _kernel(ctx, np.concatenate([zs + 2.0 * ctx.lat.K, zs + 2.0j * ctx.lat.K_prime]))
     at = _Evaluated(np.concatenate([q, moved.q]), np.concatenate([dp, moved.dp]))
@@ -190,8 +184,7 @@ def _suite_periodicity(k):
     return 3 * 2 * zs.size + 2 * 8, float(np.max(gaps))
 
 
-def _suite_pole_order(k):
-    ctx = ShenContext.from_modulus(k)
+def _suite_pole_order(ctx):
     z0 = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
     slope_d = pole_order_slope(lambda z: d_complex(ctx, z), z0)
     slope_s2 = pole_order_slope(lambda z: s_squared(ctx, z), z0)
@@ -200,7 +193,7 @@ def _suite_pole_order(k):
     return 2, worst
 
 
-#: suite name -> (runner, pinned default tolerance or None for the generic one)
+#: suite name -> (runner(ctx) -> (samples, worst residual), pinned tolerance or None)
 SUITES = {
     "pythagorean": (_suite_pythagorean, 1e-13),
     "cubic-relation": (_suite_cubic_relation, None),
@@ -255,9 +248,9 @@ def run_suite(name: str, k: float, tol: float = None) -> VerificationReport:
     A bad name, ``k`` or tolerance (``tol`` finite, > 0) raises DomainError first.
     """
     runner = _suite(name)[0]
-    _check_modulus(k)
+    ctx = ShenContext.from_modulus(k)
     tolerance = _tolerance(tol, "tol") if tol is not None else default_tolerance(name)
-    samples, worst = runner(k)
+    samples, worst = runner(ctx)
     return VerificationReport(identity_name=name, k=k, samples=samples, max_residual=worst,
                               tolerance=tolerance, passed=worst < tolerance)
 

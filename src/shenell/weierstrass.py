@@ -32,7 +32,8 @@ Modulus = float
 #: Radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
 
-# wp' below this marks a half-period, where the duplication formula degenerates
+# |wp'| below this multiple of |wp''| marks a half-period, where the duplication
+# formula degenerates; relative, since wp' is of order k^2 in the flat band near iK'
 _HALF_PERIOD_TOL = 1e-8
 
 
@@ -340,11 +341,12 @@ def duplication_check(ctx: ShenContext, a) -> float:
 
     Both sides are evaluated independently: the left through two direct
     wp calls, the right from wp(a), wp'(a) and wp'' = 6 wp^2 - g2/2. A
-    number a raises DegenerateError at a half-period, where wp'(a) = 0, and
-    PoleError at a lattice point; an ndarray a holds nan at both.
+    number a raises DegenerateError at a half-period, where
+    |wp'(a)| < 1e-8 |wp''(a)|, and PoleError at a lattice point; an
+    ndarray a holds nan at both.
     """
     pa, dpa = wp_with_prime(ctx, a)
-    half = abs(dpa) < _HALF_PERIOD_TOL
+    half = abs(dpa) < _HALF_PERIOD_TOL * abs(_wp_second(ctx.inv, pa))
     if not isinstance(pa, np.ndarray):
         if half:
             raise DegenerateError(f"wp'(a) ~ 0 at a={a!r}; a is congruent to a half-period")
@@ -353,7 +355,11 @@ def duplication_check(ctx: ShenContext, a) -> float:
         return np.where(half, np.nan, _duplication_residual(ctx.inv, pa, dpa, wp(ctx, 2.0 * a)))
 
 
+def _wp_second(inv: Invariants, p):
+    # wp'' = 6 wp^2 - g2/2 at a point where wp = p
+    return 6.0 * p * p - 0.5 * inv.g2
+
+
 def _duplication_residual(inv: Invariants, pa, dpa, p2a):
     # the identity in wp(a), wp'(a) and wp(2a), for scalars or arrays
-    curvature = 6.0 * pa * pa - 0.5 * inv.g2
-    return abs(p2a + 2.0 * pa - 0.25 * (curvature / dpa) ** 2)
+    return abs(p2a + 2.0 * pa - 0.25 * (_wp_second(inv, pa) / dpa) ** 2)

@@ -103,3 +103,10 @@ def test_functions_of_z_take_the_context_then_z():
     functions = [getattr(shenell, name) for name in shenell.__all__]
     assert [f.__name__ for f in functions if inspect.isfunction(f)
             and "lat" in inspect.signature(f).parameters] == []
+
+
+def test_every_suite_runner_takes_the_context():
+    # run_suite turns k into a ShenContext once and hands it to the runner
+    params = {name: list(inspect.signature(runner).parameters)
+              for name, (runner, _) in shenell.SUITES.items()}
+    assert params == {name: ["ctx"] for name in shenell.SUITES}

@@ -45,6 +45,14 @@ def test_phase_speed_matches_series(k):
             assert phase_speed(k, phi) == pytest.approx(f_series(x), rel=rel, abs=0)
 
 
+@pytest.mark.parametrize("k", [1.0, 0.0, -0.5, 1.5])
+def test_phase_speed_refuses_a_modulus_outside_the_interval(k):
+    with pytest.raises(DomainError, match="modulus"):
+        phase_speed(k, 0.3)
+    with pytest.raises(DomainError, match="modulus"):
+        phase_speed(k, np.array([0.0, 0.3]))
+
+
 def test_phase_speed_even_and_pi_periodic():
     for k in (0.3, 0.999):
         assert phase_speed(k, 0.0) == 1.0
@@ -240,6 +248,17 @@ def test_arrays_match_numbers_within_4_ulp(k):
     # s and c are the sine and cosine of phi: within 4 ulp of max(1, |phi|)
     for values, column in ((s, 0), (c, 1)):
         assert np.all(_ulps(values, numbers[:, column], np.maximum(np.abs(phi), 1.0)) <= 4.0)
+
+
+@pytest.mark.parametrize("k, phis", [
+    *[(k, np.concatenate([[-0.0, 1e-12], np.linspace(-math.pi / 2.0, math.pi / 2.0, 25)]))
+      for k in CERTIFY_MODULI],
+    (0.998317992620744, np.array([1.0651558848623712]))])
+def test_a_number_phase_integral_is_its_one_entry_array(k, phis):
+    for phi in phis:
+        number = u_of_phi(k, float(phi))
+        assert type(number) is float
+        assert np.array(number).tobytes() == u_of_phi(k, np.array([phi])).tobytes(), phi
 
 
 def test_arrays_keep_the_exact_points():

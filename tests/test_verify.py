@@ -13,9 +13,9 @@ def pole_calls(monkeypatch):
     calls = []
     runner, pinned = SUITES["pole"]
 
-    def counted(k):
-        calls.append(k)
-        return runner(k)
+    def counted(ctx):
+        calls.append(ctx.k)
+        return runner(ctx)
 
     monkeypatch.setitem(SUITES, "pole", (counted, pinned))
     return calls

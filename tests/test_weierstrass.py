@@ -277,6 +277,23 @@ def test_duplication_degenerates_at_half_period(context_for):
         duplication_check(ctx, ctx.lat.K)
 
 
+@pytest.mark.parametrize("k", [1e-6, 1e-4, 1e-2, 0.5, 0.99, 1.0 - 1e-6])
+def test_duplication_half_period_test_is_relative_to_wp_second(k, context_for):
+    # wp' is of order k^2 in the flat band near iK', so an absolute bound on
+    # |wp'| took most of the cell for a half-period at small k; the bound is
+    # relative to |wp''|, and the three half-periods still degenerate
+    ctx = context_for(k)
+    big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
+    rng = np.random.default_rng(29)
+    a = (rng.uniform(0.05, 0.95, size=(1000, 2)) * [big_k, big_kp]).view(complex).ravel()
+    assert not np.isnan(duplication_check(ctx, a)).any()
+    halves = (big_k, 1j * big_kp, big_k + 1j * big_kp)
+    assert np.isnan(duplication_check(ctx, np.array(halves))).all()
+    for half in halves:
+        with pytest.raises(DegenerateError):
+            duplication_check(ctx, half)
+
+
 def test_duplication_check_takes_arrays(context_for):
     # an array holds nan exactly where a number raises DegenerateError
     # (a half-period) or PoleError (a lattice point)

@@ -1,0 +1,115 @@
+"""Hash the package's outputs, one sha256 per section, for a before/after comparison.
+
+    python3 tools/dump_outputs.py SRC_DIR
+
+SRC_DIR is the ``src`` directory whose ``shenell`` is imported, so one copy
+of this script measures two checkouts: run it on each and compare the
+lines. The sections are
+
+* ``sample``: the ``sample`` CSV of d, s2, c2, sc and wp on a 61 x 31 grid
+  over the period cell [-K, K] x [-K', K'] at k = 0.05, 0.3, 0.7, 0.99;
+* ``verify``: the ``verify --json`` text of all suites at 42 moduli: the
+  22 of the benchmark's ``certify`` workload, 12 log-spaced in
+  [1e-6, 0.05] and 8 with 1 - k log-spaced in [5e-5, 1e-2];
+* one section per number path, ``scd_real``, ``phi_of_u``, ``u_of_phi``,
+  ``wp_with_prime`` and ``duplication_check``, at 100 seeded points (k
+  drawn from the 42 moduli) plus a few fixed ones: phi = +-0 at the
+  first 5 moduli and u(1.0651558848623712) at k = 0.998317992620744, a
+  point where the integral is sensitive to the order of its sums, for
+  ``u_of_phi``; the three half-periods at the first 5 moduli for
+  ``duplication_check``.
+
+A value is written as its repr, an exception as its type name, so a
+section hashes the same exactly when every double and every error does.
+``sections`` returns the texts for a closer look at a differing section.
+"""
+
+import hashlib
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+CERTIFY_MODULI = [float(k) for k in np.concatenate(
+    [np.linspace(0.06, 0.85, 16), 1.0 - np.geomspace(0.12, 0.01, 6)])]
+MODULI = (CERTIFY_MODULI + [float(k) for k in np.geomspace(1e-6, 0.05, 12)]
+          + [1.0 - float(q) for q in np.geomspace(5e-5, 1e-2, 8)])
+SAMPLE_MODULI = (0.05, 0.3, 0.7, 0.99)
+SAMPLE_FUNCTIONS = ("d", "s2", "c2", "sc", "wp")
+POINTS = 100
+
+
+def _value(call):
+    try:
+        value = call()
+    except Exception as exc:  # the type of any failure is part of the output
+        return type(exc).__name__
+    return repr(tuple(value) if isinstance(value, tuple) else value)
+
+
+def _sample(sh, cli):
+    parts = []
+    for k in SAMPLE_MODULI:
+        lat = sh.ShenContext.from_modulus(k).lat
+        re_axis = np.linspace(-lat.K, lat.K, 61).tolist()
+        im_axis = np.linspace(-lat.K_prime, lat.K_prime, 31).tolist()
+        for fn in SAMPLE_FUNCTIONS:
+            grid = cli.build_sample_grid(k, fn, re_axis, im_axis)
+            parts.append(f"# k={k!r} fn={fn}\n{cli.sample_grid_to_csv(grid)}")
+    return "".join(parts)
+
+
+def _verify(sh, cli):
+    names = sh.available_suites()
+    return "".join(_value(lambda: cli.reports_to_json(sh.run_suites(names, [k]))) + "\n"
+                   for k in MODULI)
+
+
+def _number_paths(sh):
+    rng = np.random.default_rng(20261019)
+    lines = {name: [] for name in ("scd_real", "phi_of_u", "u_of_phi", "wp_with_prime",
+                                   "duplication_check")}
+    for _ in range(POINTS):
+        k = MODULI[rng.integers(len(MODULI))]
+        ctx = sh.ShenContext.from_modulus(k)
+        u = float(rng.uniform(-1.0, 1.0)) * ctx.lat.K
+        phi = float(rng.uniform(-1.0, 1.0)) * (math.pi / 2.0)
+        z = complex(*(rng.uniform(-0.95, 0.95, 2) * [ctx.lat.K, ctx.lat.K_prime]))
+        lines["scd_real"].append((k, u, _value(lambda: sh.scd_real(k, u))))
+        lines["phi_of_u"].append((k, u, _value(lambda: sh.phi_of_u(k, u))))
+        lines["u_of_phi"].append((k, phi, _value(lambda: sh.u_of_phi(k, phi))))
+        lines["wp_with_prime"].append((k, z, _value(lambda: sh.wp_with_prime(ctx, z))))
+        lines["duplication_check"].append((k, z, _value(lambda: sh.duplication_check(ctx, z))))
+    k, phi = 0.998317992620744, 1.0651558848623712
+    lines["u_of_phi"].append((k, phi, _value(lambda: sh.u_of_phi(k, phi))))
+    for k in MODULI[:5]:
+        lines["u_of_phi"] += [(k, phi, _value(lambda: sh.u_of_phi(k, phi))) for phi in (0.0, -0.0)]
+        ctx = sh.ShenContext.from_modulus(k)
+        big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
+        for a in (complex(big_k), 1j * big_kp, big_k + 1j * big_kp):
+            lines["duplication_check"].append((k, a, _value(lambda: sh.duplication_check(ctx, a))))
+    return {name: "".join(f"{k!r} {x!r} {value}\n" for k, x, value in rows)
+            for name, rows in lines.items()}
+
+
+def sections(src):
+    """Section name -> output text, from the ``shenell`` under the directory ``src``."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    import shenell as sh
+    from shenell import cli
+
+    return {"sample": _sample(sh, cli), "verify": _verify(sh, cli), **_number_paths(sh)}
+
+
+def main(argv):
+    if len(argv) != 1:
+        print("usage: python3 tools/dump_outputs.py SRC_DIR", file=sys.stderr)
+        return 2
+    for name, text in sections(argv[0]).items():
+        print(f"{name:<18} {hashlib.sha256(text.encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
