@@ -62,9 +62,12 @@ def _by_pole_rules(ctx: ShenContext, z, formula, at_lattice, poles=True):
         if pole and poles:
             raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
         return formula(edge if pole else q, dp)
+    lattice = np.isnan(q)
+    if not (pole.any() or lattice.any()):
+        return formula(q, dp)  # may be q itself, so nothing below writes into it
     with np.errstate(invalid="ignore"):
         values = formula(np.where(pole, edge, q), dp)
-    values[np.isnan(q)] = at_lattice
+    values[lattice] = at_lattice
     if poles:
         values[pole] = np.nan
     return values
@@ -189,19 +192,26 @@ def substitution_chain_check(ctx: ShenContext, z):
                         _substitution_residual(ctx, one_minus_d, q))
 
 
+#: The radius sweep of ``pole_order_slope``: r = 1e-2 * 2^-j, j < 11
+_RADII = 1e-2 * 0.5 ** np.arange(11)
+_LOG_RADII = np.log(_RADII) - np.log(_RADII).mean()  # centred
+
+
+def _slope(log_f) -> float:
+    # least-squares slope of log|f| against log r over _RADII, in the centred
+    # closed form sum (x - x_mean)(y - y_mean) / sum (x - x_mean)^2
+    return float(_LOG_RADII @ (log_f - log_f.mean()) / (_LOG_RADII @ _LOG_RADII))
+
+
 def pole_order_slope(f, z0) -> float:
     """Least-squares slope of log|f(z0 + r)| against log r on a dyadic radius sweep.
 
     ``z0`` is approached along +1 at the radii r = 1e-2 * 2^-j, j < 11,
-    from 1e-2 down to just under 1e-5. A simple pole gives -1, a triple
-    pole -3, to within the curvature of the analytic part over the sweep.
-    The fit is the centred closed form sum (x - x_mean)(y - y_mean) /
-    sum (x - x_mean)^2 in x = log r, y = log|f|.
+    from 1e-2 down to just under 1e-5, with one call of ``f`` per radius.
+    A simple pole gives -1, a triple pole -3, to within the curvature of
+    the analytic part over the sweep. The fit is the centred closed form
+    sum (x - x_mean)(y - y_mean) / sum (x - x_mean)^2 in x = log r,
+    y = log|f|; the ``pole-order`` suite applies the same fit to one
+    array evaluation at z0 + r.
     """
-    radii = [1e-2 * 0.5 ** j for j in range(11)]
-    log_r = [math.log(r) for r in radii]
-    log_f = [math.log(abs(f(z0 + r))) for r in radii]
-    mean_r, mean_f = sum(log_r) / len(radii), sum(log_f) / len(radii)
-    dx = [x - mean_r for x in log_r]
-    return (sum(d * (y - mean_f) for d, y in zip(dx, log_f))
-            / sum(d * d for d in dx))
+    return _slope(np.array([math.log(abs(f(z0 + r))) for r in _RADII.tolist()]))

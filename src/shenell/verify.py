@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .field import (_Evaluated, _substitution_residual, c_squared, cubic_relation_residual,
-                    d_complex, d_ode_residual, pole_order_slope, s_squared, sc_product,
+from .field import (_RADII, _Evaluated, _slope, _substitution_residual,
+                    cubic_relation_residual, d_complex, d_ode_residual, s_squared, sc_product,
                     substitution_chain_check)
 from .phase import _phase_and_q, phi_of_u, scd_real, u_of_phi
 from .poles import certify_pole, factorization_check
@@ -179,15 +179,16 @@ def _suite_periodicity(ctx):
     at = _Evaluated(np.concatenate([q, moved.q]), np.concatenate([dp, moved.dp]))
     first = np.s_[:, :8]  # sc at the first 8 points of zs and their translates
     head = _Evaluated(*(column.reshape(3, -1)[first].ravel() for column in at))
-    gaps = [_period_gap(f(ctx, at)) for f in (d_complex, s_squared, c_squared)]
+    s2 = s_squared(ctx, at)
+    gaps = [_period_gap(v) for v in (d_complex(ctx, at), s2, 1.0 - s2)]  # c^2 = 1 - s^2
     gaps.append(_period_gap(sc_product(ctx, head)))
     return 3 * 2 * zs.size + 2 * 8, float(np.max(gaps))
 
 
 def _suite_pole_order(ctx):
-    z0 = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
-    slope_d = pole_order_slope(lambda z: d_complex(ctx, z), z0)
-    slope_s2 = pole_order_slope(lambda z: s_squared(ctx, z), z0)
+    # the fit of pole_order_slope, on one kernel pass over the radius sweep
+    at = _kernel(ctx, (2.0 / 3.0) * 1.0j * ctx.lat.K_prime + _RADII)
+    slope_d, slope_s2 = (_slope(np.log(np.abs(f(ctx, at)))) for f in (d_complex, s_squared))
     worst = max(abs(slope_d + 1.0) / _SLOPE_WINDOW_D,
                 abs(slope_s2 + 3.0) / _SLOPE_WINDOW_S2)
     return 2, worst

@@ -270,6 +270,8 @@ def _wp_minus_root(ctx: ShenContext, z):
             raise PoleError(f"z={z!r} is within {POLE_EXCLUSION} of a lattice point")
         return _theta_quotients(w, ctx.lat.nome, cmath.sin, cmath.cos)
     pole = np.abs(w) < POLE_EXCLUSION
+    if not pole.any():  # the common case: no masked copies, no warning state
+        return _theta_quotients(w, ctx.lat.nome, np.sin, np.cos)
     with np.errstate(all="ignore"):
         part, dp = _theta_quotients(w, ctx.lat.nome, np.sin, np.cos)
     return np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
@@ -301,8 +303,8 @@ def reduce_to_cell(ctx: ShenContext, z):
                           "from the origin")
     w = np.empty(z.shape, dtype=complex)
     # round half to even, like round() for numbers
-    w.real = z.real - 2.0 * lat.K * np.round(z.real / (2.0 * lat.K))
-    w.imag = z.imag - 2.0 * lat.K_prime * np.round(z.imag / (2.0 * lat.K_prime))
+    w.real = z.real - 2.0 * lat.K * np.rint(z.real / (2.0 * lat.K))
+    w.imag = z.imag - 2.0 * lat.K_prime * np.rint(z.imag / (2.0 * lat.K_prime))
     return w
 
 

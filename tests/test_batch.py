@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from shenell import (D_POLE_TOL, DomainError, PoleError, ShenContext, c_squared,
                      cubic_relation_residual, d_complex, d_ode_residual, q_with_prime,
-                     s_squared, sc_product, wp_with_prime)
+                     s_squared, sc_product, substitution_chain_check, wp_with_prime)
 from shenell.cli import MAX_GRID_POINTS, UsageError, build_sample_grid
 from helpers import wp_oracle_factory
 
@@ -240,6 +240,43 @@ def test_field_functions_take_arrays_by_the_scalar_pole_rules(k):
         assert abs(ode[i] - d_ode_residual(ctx, z)) <= scale, z
     # the cell corners are lattice points; rows 5 and 10 hold +-(2/3) iK' mod 2iK'
     assert (lattice, poles) == (4, 4)
+
+
+# f -> its values at the lattice point 0 and at the pole (2/3) iK' of d;
+# None is a finite value (sc and wp are finite at the poles of d)
+_TAILS = {
+    d_complex: (1.0, math.nan),
+    s_squared: (0.0, math.nan),
+    c_squared: (1.0, math.nan),
+    sc_product: (0.0, None),
+    cubic_relation_residual: (0.0, math.nan),
+    d_ode_residual: (0.0, math.nan),
+    substitution_chain_check: (math.nan, math.nan),
+    lambda ctx, z: wp_with_prime(ctx, z)[0]: (math.nan, None),
+    lambda ctx, z: wp_with_prime(ctx, z)[1]: (math.nan, None),
+}
+
+
+def _is(value, expected):
+    if expected is None:
+        return bool(np.isfinite(value))
+    return bool(np.isnan(value)) if math.isnan(expected) else value == expected
+
+
+@pytest.mark.parametrize("k", (1e-3, 0.3, 0.99))
+def test_pole_free_arrays_match_arrays_that_hold_poles_bitwise(k):
+    """An array with no lattice point and no pole of d takes the values it has beside them."""
+    ctx = ShenContext.from_modulus(k)
+    rng = np.random.default_rng(1919)
+    zs = (rng.uniform(-0.95, 0.95, size=(40, 2)) * [ctx.lat.K, ctx.lat.K_prime]).view(complex)
+    zs = zs.ravel()
+    assert not np.isnan(d_complex(ctx, zs)).any()  # pole-free
+    with_poles = np.concatenate([zs, [0.0, (2.0 / 3.0) * 1j * ctx.lat.K_prime]])
+    for f, (at_lattice, at_pole) in _TAILS.items():
+        alone, beside = f(ctx, zs), f(ctx, with_poles)
+        assert alone.shape == zs.shape and beside.shape == with_poles.shape
+        assert alone.tobytes() == beside[:zs.size].tobytes(), f
+        assert _is(beside[-2], at_lattice) and _is(beside[-1], at_pole), f
 
 
 @pytest.mark.parametrize("huge", [1e16, 1e17, 1e300])

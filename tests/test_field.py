@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from shenell import (DegenerateError, DomainError, PoleError, ShenContext, c_squared,
-                     cubic_relation_residual, d_complex, d_ode_residual,
-                     pole_order_slope, s_squared, sc_product, scd_real,
+                     cubic_relation_residual, d_complex, d_ode_residual, default_tolerance,
+                     pole_order_slope, run_suite, s_squared, sc_product, scd_real,
                      substitution_chain_check, u_max, wp)
 from helpers import s2_c2_oracle_factory, sc_oracle_factory
 
@@ -293,3 +293,19 @@ def test_pole_order_slope_is_the_least_squares_fit():
         for f in (lambda z: d_complex(ctx, z), lambda z: s_squared(ctx, z)):
             fitted = np.polyfit(np.log(radii), [math.log(abs(f(z0 + r))) for r in radii], 1)[0]
             assert abs(pole_order_slope(f, z0) - fitted) <= 1e-12, k
+
+
+def test_pole_order_suite_is_the_public_slope_fit():
+    # the suite fits one array pass over the radius sweep; pole_order_slope
+    # fits number calls, whose sin and cos round apart from numpy's
+    tolerance = default_tolerance("pole-order")
+    for k in _SLOPE_MODULI:
+        ctx = ShenContext.from_modulus(k)
+        z0 = _d_pole(ctx)
+        slope_d = pole_order_slope(lambda z: d_complex(ctx, z), z0)
+        slope_s2 = pole_order_slope(lambda z: s_squared(ctx, z), z0)
+        # the suite's windows: 0.05 around -1 for d, 0.1 around -3 for s^2
+        expected = max(abs(slope_d + 1.0) / 0.05, abs(slope_s2 + 3.0) / 0.1)
+        report = run_suite("pole-order", k)
+        assert abs(report.max_residual - expected) <= 1e-9, k
+        assert report.passed == (expected < tolerance), k

@@ -1,10 +1,14 @@
 """Hash the package's outputs, one sha256 per section, for a before/after comparison.
 
     python3 tools/dump_outputs.py SRC_DIR
+    python3 tools/dump_outputs.py OLD_SRC NEW_SRC
 
 SRC_DIR is the ``src`` directory whose ``shenell`` is imported, so one copy
 of this script measures two checkouts: run it on each and compare the
-lines. The sections are
+lines. The compare form imports both in turn and prints, per section,
+``same`` or the number of lines that differ; for ``verify`` it also
+prints every verdict that flips and, per suite, the largest relative
+change of ``max_residual``. The sections are
 
 * ``sample``: the ``sample`` CSV of d, s2, c2, sc and wp on a 61 x 31 grid
   over the period cell [-K, K] x [-K', K'] at k = 0.05, 0.3, 0.7, 0.99;
@@ -24,7 +28,9 @@ section hashes the same exactly when every double and every error does.
 ``sections`` returns the texts for a closer look at a differing section.
 """
 
+import ast
 import hashlib
+import json
 import math
 import sys
 from pathlib import Path
@@ -95,16 +101,66 @@ def _number_paths(sh):
 
 def sections(src):
     """Section name -> output text, from the ``shenell`` under the directory ``src``."""
-    sys.path.insert(0, str(Path(src).resolve()))
-    import shenell as sh
-    from shenell import cli
+    path = str(Path(src).resolve())
+    for name in [name for name in sys.modules if name.split(".")[0] == "shenell"]:
+        del sys.modules[name]  # a second checkout is imported afresh
+    sys.path.insert(0, path)
+    try:
+        import shenell as sh
+        from shenell import cli
 
-    return {"sample": _sample(sh, cli), "verify": _verify(sh, cli), **_number_paths(sh)}
+        return {"sample": _sample(sh, cli), "verify": _verify(sh, cli), **_number_paths(sh)}
+    finally:
+        sys.path.remove(path)
+
+
+def _reports(text):
+    # (suite, k) -> (max_residual, passed) from the lines of a verify section;
+    # a line that holds an exception's type name has none
+    reports = {}
+    for line in text.splitlines():
+        try:
+            items = json.loads(ast.literal_eval(line))
+        except (ValueError, SyntaxError):
+            continue
+        reports.update({(r["identity"], r["k"]): (r["max_residual"], r["passed"]) for r in items})
+    return reports
+
+
+def _relative_change(old, new):
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def compare(old_src, new_src):
+    """The lines the compare form prints, for the checkouts under ``old_src`` and ``new_src``."""
+    old, new = sections(old_src), sections(new_src)
+    lines = []
+    for name, text in old.items():
+        a, b = text.splitlines(), new[name].splitlines()
+        differing = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+        lines.append(f"{name:<18} {f'{differing} lines differ' if differing else 'same'}")
+    before, after = _reports(old["verify"]), _reports(new["verify"])
+    shared = [key for key in before if key in after]
+    flips = [key for key in shared if before[key][1] != after[key][1]]
+    lines.append(f"verify verdict flips: {len(flips)} of {len(shared)}")
+    lines += [f"  {suite} k={k!r}: passed {before[suite, k][1]} -> {after[suite, k][1]}"
+              for suite, k in flips]
+    lines.append("verify largest relative change of max_residual:")
+    for suite in sorted({suite for suite, _ in shared}):
+        change = max(_relative_change(before[key][0], after[key][0])
+                     for key in shared if key[0] == suite)
+        lines.append(f"  {suite:<18} {change:.3g}")
+    return lines
 
 
 def main(argv):
+    if len(argv) == 2:
+        print("\n".join(compare(*argv)))
+        return 0
     if len(argv) != 1:
-        print("usage: python3 tools/dump_outputs.py SRC_DIR", file=sys.stderr)
+        print("usage: python3 tools/dump_outputs.py SRC_DIR | OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
     for name, text in sections(argv[0]).items():
         print(f"{name:<18} {hashlib.sha256(text.encode()).hexdigest()}")
