@@ -57,14 +57,17 @@ def _by_pole_rules(ctx: ShenContext, z, formula, at_lattice, poles=True):
         except PoleError:
             return at_lattice
     edge = D_POLE_TOL * (8.0 / 27.0) * ctx.k ** 2
-    pole = abs(q) < edge
+    size = abs(q)
     if not isinstance(q, np.ndarray):
+        pole = size < edge
         if pole and poles:
             raise PoleError(f"z={z!r} lies at a pole of d (wp(z) ~ -1/3)")
         return formula(edge if pole else q, dp)
-    lattice = np.isnan(q)
-    if not (pole.any() or lattice.any()):
+    # the kernel's only non-finite entries are nan + 0j at lattice points,
+    # whose modulus is nan, so one comparison is false at them and in the disc
+    if (size >= edge).all():
         return formula(q, dp)  # may be q itself, so nothing below writes into it
+    pole, lattice = size < edge, np.isnan(q)
     with np.errstate(invalid="ignore"):
         values = formula(np.where(pole, edge, q), dp)
     values[lattice] = at_lattice

@@ -61,7 +61,7 @@ def phase_speed(k: Modulus, phi):
     if array:
         if not np.isfinite(phi).all():
             raise DomainError("phi holds an entry that is not finite")
-        phi = np.abs(phi - math.pi * np.round(phi / math.pi))
+        phi = np.abs(phi - math.pi * np.rint(phi / math.pi))  # half to even, as np.round
         sin, cos, asin, sqrt = _NUMPY
     else:
         phi = abs(math.remainder(phi, math.pi))

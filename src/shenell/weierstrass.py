@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class Nome:
 
     rotated: bool
     scale: complex      # maps a reduced z to the theta argument v
-    q: float
+    two_q: float        # 2q, q the nome
     theta3: tuple       # series coefficients, see _theta_coefficients
     theta1: tuple
     c2: float           # the theta constants at 0 of wp - e and wp'
@@ -188,12 +188,48 @@ class ShenContext:
         q2 = 0.5 * (math.sqrt(d23 * d23 + (64.0 / 729.0) * k4 / q1) + d23)
         object.__setattr__(self, "q_roots", (q1, q2, (16.0 / 729.0) * k4 / (q1 * q2)))
 
+    @cached_property
+    def _array_constants(self) -> "_ArrayConstants":
+        # built on the first array call, so a context that only sees numbers never pays
+        return _ArrayConstants(self)
+
     @classmethod
     @lru_cache(maxsize=32, typed=True)
     def from_modulus(cls, k: Modulus) -> "ShenContext":
         """The context of ``k``, kept per value and type for the 32 most recent; errors are not."""
         inv = invariants_of_modulus(k)
         return cls(k=k, inv=inv, lat=lattice_of_invariants(inv))
+
+
+class _ArrayConstants:
+    """The kernel constants of one context as 0-d arrays, for ndarray operands.
+
+    numpy converts a Python number operand of a ufunc on every call
+    (NEP 50), ~0.2 us more than a 0-d array of the other operand's dtype
+    costs on a short array. The array holds the same double and the same
+    loop runs, so every value is bitwise what the Python number gives.
+    Complex: the ``Nome`` fields of the same names, the 1 and 2 of
+    x = 2q (1 - 2 sin^2 v), and ``roots``, what ``_kernel`` adds for wp
+    and for Q; real: the periods and the pole radius of the cell reduction.
+    """
+
+    __slots__ = ("scale", "two_q", "one", "two", "theta3", "theta1", "c2", "c3", "roots",
+                 "two_k", "two_k_prime", "pole_exclusion")
+
+    def __init__(self, ctx: ShenContext):
+        lat, nome = ctx.lat, ctx.lat.nome
+
+        def typed(value):
+            return np.array(value, dtype=np.complex128)
+
+        self.scale, self.two_q, self.one, self.two = map(typed, (nome.scale, nome.two_q, 1.0, 2.0))
+        self.theta3, self.theta1 = tuple(map(typed, nome.theta3)), tuple(map(typed, nome.theta1))
+        self.c2, self.c3 = typed(nome.c2), typed(nome.c3)
+        self.roots = (typed(lat.e1 if nome.rotated else lat.e3),
+                      typed(ctx.q_roots[0 if nome.rotated else 2]))
+        self.two_k, self.two_k_prime, self.pole_exclusion = (
+            np.array(value, dtype=np.float64)
+            for value in (2.0 * lat.K, 2.0 * lat.K_prime, POLE_EXCLUSION))
 
 
 def _theta_coefficients(q):
@@ -239,26 +275,32 @@ def _nome_of_lattice(lat: Lattice) -> Nome:
     at3, at4, _, at2 = _theta_sums(2.0 * q, theta3, theta1)
     # wp(z; L) = -wp(iz; iL), wp'(z; L) = -i wp'(iz; iL)
     turn, sign, cube = (1j, -1.0, -1j) if rotated else (1.0, 1.0, 1.0)
-    return Nome(rotated=rotated, scale=s * turn, q=q, theta3=theta3, theta1=theta1,
+    return Nome(rotated=rotated, scale=s * turn, two_q=2.0 * q, theta3=theta3, theta1=theta1,
                 c2=sign * (s * at2 * at3) ** 2, c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2,
                 reach=2.0 ** 26 * (2.0 * half))
 
 
-def _theta_quotients(w, nome: Nome, sin, cos):
-    # (wp - e, wp') at reduced w, for scalars (cmath) and arrays (numpy)
-    v = nome.scale * w
+def _theta_quotients(w, c, sin, cos, one=1.0, two=2.0):
+    # (wp - e, wp') at reduced w: for a number c is the Nome and sin, cos are
+    # cmath's; for an array c is the context's _ArrayConstants, sin, cos are
+    # numpy's and one, two are c's
+    v = c.scale * w
     sine, cosine = sin(v), cos(v)
     # x = 2 q cos 2v stays below 1 + q^2 where cos 2v itself may overflow
     theta3, theta4, sine_part, cosine_part = _theta_sums(
-        (2.0 * nome.q) * (1.0 - 2.0 * (sine * sine)), nome.theta3, nome.theta1)
+        c.two_q * (one - two * (sine * sine)), c.theta3, c.theta1)
     denom = sine * sine_part
     ratio = theta4 / denom
-    return (nome.c2 * ratio * ratio,
-            nome.c3 * cosine * cosine_part * theta3 * ratio / (denom * denom))
+    return (c.c2 * ratio * ratio,
+            c.c3 * cosine * cosine_part * theta3 * ratio / (denom * denom))
 
 
-def _wp_minus_root(ctx: ShenContext, z):
-    """(wp(z) - e, wp'(z)) for the kernel root e: e3, or e1 when ``ctx.lat.nome.rotated``.
+def _kernel(ctx: ShenContext, z, q_form):
+    """(wp(z), wp'(z)), or (Q(z), wp'(z)) with ``q_form``.
+
+    The theta quotients give wp - e for the kernel root e (e3, or e1 when
+    ``ctx.lat.nome.rotated``); e is added back, or for Q the root Q_e of
+    ``ctx.q_roots`` (Q3, or Q1).
 
     z is reduced to the cell first (DomainError as in ``reduce_to_cell``).
     A number within POLE_EXCLUSION of a lattice point raises PoleError; in
@@ -268,13 +310,19 @@ def _wp_minus_root(ctx: ShenContext, z):
     if not isinstance(w, np.ndarray):
         if abs(w) < POLE_EXCLUSION:
             raise PoleError(f"z={z!r} is within {POLE_EXCLUSION} of a lattice point")
-        return _theta_quotients(w, ctx.lat.nome, cmath.sin, cmath.cos)
-    pole = np.abs(w) < POLE_EXCLUSION
+        nome = ctx.lat.nome
+        part, dp = _theta_quotients(w, nome, cmath.sin, cmath.cos)
+        if q_form:
+            return ctx.q_roots[0 if nome.rotated else 2] + part, dp
+        return (ctx.lat.e1 if nome.rotated else ctx.lat.e3) + part, dp
+    c = ctx._array_constants
+    pole = np.abs(w) < c.pole_exclusion
     if not pole.any():  # the common case: no masked copies, no warning state
-        return _theta_quotients(w, ctx.lat.nome, np.sin, np.cos)
+        part, dp = _theta_quotients(w, c, np.sin, np.cos, c.one, c.two)
+        return c.roots[q_form] + part, dp
     with np.errstate(all="ignore"):
-        part, dp = _theta_quotients(w, ctx.lat.nome, np.sin, np.cos)
-    return np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
+        part, dp = _theta_quotients(w, c, np.sin, np.cos, c.one, c.two)
+    return c.roots[q_form] + np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
 
 
 def reduce_to_cell(ctx: ShenContext, z):
@@ -301,10 +349,11 @@ def reduce_to_cell(ctx: ShenContext, z):
     if not abs(z).max(initial=0.0) < lat.nome.reach:
         raise DomainError("z holds an entry that is not finite or is 2^26 periods or more "
                           "from the origin")
+    c = ctx._array_constants
     w = np.empty(z.shape, dtype=complex)
     # round half to even, like round() for numbers
-    w.real = z.real - 2.0 * lat.K * np.rint(z.real / (2.0 * lat.K))
-    w.imag = z.imag - 2.0 * lat.K_prime * np.rint(z.imag / (2.0 * lat.K_prime))
+    w.real = z.real - c.two_k * np.rint(z.real / c.two_k)
+    w.imag = z.imag - c.two_k_prime * np.rint(z.imag / c.two_k_prime)
     return w
 
 
@@ -314,8 +363,7 @@ def wp_with_prime(ctx: ShenContext, z) -> tuple:
     z is a number or an ndarray that ``reduce_to_cell`` accepts, else DomainError. A number
     within POLE_EXCLUSION of a lattice point raises PoleError; an array has nan.
     """
-    part, dp = _wp_minus_root(ctx, z)
-    return (ctx.lat.e1 if ctx.lat.nome.rotated else ctx.lat.e3) + part, dp
+    return _kernel(ctx, z, False)
 
 
 def q_with_prime(ctx: ShenContext, z) -> tuple:
@@ -324,8 +372,7 @@ def q_with_prime(ctx: ShenContext, z) -> tuple:
     Q is Q3 plus the theta quotient for wp - e3 (Q1 plus wp - e1 when the
     kernel is rotated). z and the pole rules are as in ``wp_with_prime``.
     """
-    part, dp = _wp_minus_root(ctx, z)
-    return ctx.q_roots[0 if ctx.lat.nome.rotated else 2] + part, dp
+    return _kernel(ctx, z, True)
 
 
 def wp(ctx: ShenContext, z) -> complex:

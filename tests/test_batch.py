@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shenell import (D_POLE_TOL, DomainError, PoleError, ShenContext, c_squared,
-                     cubic_relation_residual, d_complex, d_ode_residual, q_with_prime,
-                     s_squared, sc_product, substitution_chain_check, wp_with_prime)
+                     cubic_relation_residual, d_complex, d_ode_residual, phi_of_u, q_with_prime,
+                     s_squared, sc_product, scd_real, substitution_chain_check, wp,
+                     wp_with_prime)
 from shenell.cli import MAX_GRID_POINTS, UsageError, build_sample_grid
 from helpers import wp_oracle_factory
 
@@ -265,18 +266,74 @@ def _is(value, expected):
 
 @pytest.mark.parametrize("k", (1e-3, 0.3, 0.99))
 def test_pole_free_arrays_match_arrays_that_hold_poles_bitwise(k):
-    """An array with no lattice point and no pole of d takes the values it has beside them."""
+    """An array with no lattice point and no pole of d takes the values it has beside them.
+
+    The tail is the lattice point 0 alone, the pole (2/3) iK' alone, or
+    both: each kind of entry on its own sends an array down the masked path.
+    """
     ctx = ShenContext.from_modulus(k)
     rng = np.random.default_rng(1919)
     zs = (rng.uniform(-0.95, 0.95, size=(40, 2)) * [ctx.lat.K, ctx.lat.K_prime]).view(complex)
     zs = zs.ravel()
     assert not np.isnan(d_complex(ctx, zs)).any()  # pole-free
-    with_poles = np.concatenate([zs, [0.0, (2.0 / 3.0) * 1j * ctx.lat.K_prime]])
-    for f, (at_lattice, at_pole) in _TAILS.items():
-        alone, beside = f(ctx, zs), f(ctx, with_poles)
-        assert alone.shape == zs.shape and beside.shape == with_poles.shape
-        assert alone.tobytes() == beside[:zs.size].tobytes(), f
-        assert _is(beside[-2], at_lattice) and _is(beside[-1], at_pole), f
+    pole = (2.0 / 3.0) * 1j * ctx.lat.K_prime
+    for tail, kinds in (([0.0], (0,)), ([pole], (1,)), ([0.0, pole], (0, 1))):
+        with_poles = np.concatenate([zs, tail])
+        for f, expected in _TAILS.items():
+            alone, beside = f(ctx, zs), f(ctx, with_poles)
+            assert alone.shape == zs.shape and beside.shape == with_poles.shape
+            assert alone.tobytes() == beside[:zs.size].tobytes(), (f, tail)
+            for value, kind in zip(beside[zs.size:], kinds):
+                assert _is(value, expected[kind]), (f, tail)
+
+
+@pytest.mark.parametrize("k", (1e-3, 0.3, 0.99))
+def test_an_array_call_leaves_the_context_unchanged_as_a_value(k):
+    """Number results, repr, equality and the lattice's hash are the same after an array call."""
+    ShenContext.from_modulus.cache_clear()  # a context that has seen no array yet
+    ctx = ShenContext.from_modulus(k)
+    z, u = complex(0.3 * ctx.lat.K, 0.4 * ctx.lat.K_prime), 0.6 * ctx.lat.K
+
+    def state():
+        numbers = (wp_with_prime(ctx, z), q_with_prime(ctx, z), d_complex(ctx, z),
+                   tuple(scd_real(k, u)))
+        return (repr(numbers), repr(ctx), ctx == ShenContext(k=k, inv=ctx.inv, lat=ctx.lat),
+                hash(ctx.lat))
+
+    before = state()
+    q_with_prime(ctx, np.array([z, 0.0, (2.0 / 3.0) * 1j * ctx.lat.K_prime]))
+    phi_of_u(k, np.array([u]))
+    assert state() == before
+    assert before[2]
+
+
+_SAMPLE_FUNCTIONS = (d_complex, s_squared, c_squared, sc_product, wp,
+                     lambda ctx, z: wp_with_prime(ctx, z)[0],
+                     lambda ctx, z: wp_with_prime(ctx, z)[1],
+                     lambda ctx, z: q_with_prime(ctx, z)[0],
+                     lambda ctx, z: q_with_prime(ctx, z)[1])
+
+
+@pytest.mark.parametrize("k", (1e-3, 0.3, 0.99))
+def test_0d_and_2d_arrays_keep_their_shape_and_complex_dtype(k):
+    """The kernel and the sample functions keep z's shape and the values of the flat array.
+
+    A 2-D array, with a lattice point and a pole of d, runs the loops of
+    its flat copy, bitwise; a 0-d one runs numpy's scalar arithmetic,
+    which rounds apart from the loops in the last bits.
+    """
+    ctx = ShenContext.from_modulus(k)
+    big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
+    plane = np.array([[0.3 * big_k + 0.4j * big_kp, 0.0, -0.7 * big_k + 0.1j * big_kp],
+                      [(2.0 / 3.0) * 1j * big_kp, 0.9 * big_k - 0.8j * big_kp, 0.5 * big_k]])
+    point = np.array(0.2 * big_k + 0.3j * big_kp)
+    for f in _SAMPLE_FUNCTIONS:
+        for z in (plane, point):
+            value = f(ctx, z)
+            assert np.shape(value) == z.shape and np.result_type(value) == np.complex128, f
+        assert f(ctx, plane).tobytes() == f(ctx, plane.ravel()).tobytes(), f
+        one = f(ctx, point.reshape(1))[0]
+        assert abs(f(ctx, point) - one) <= _ROUNDING * max(1.0, abs(one)), f
 
 
 @pytest.mark.parametrize("huge", [1e16, 1e17, 1e300])
