@@ -32,6 +32,11 @@ Modulus = float
 #: Radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
 
+# the operands of the array kernel that no context changes, typed as _ArrayConstants
+# explains: the 1 and 2 of x = 2q (1 - 2 sin^2 v), and the pole radius
+_ONE, _TWO = np.array(1.0, dtype=np.complex128), np.array(2.0, dtype=np.complex128)
+_POLE_EXCLUSION = np.array(POLE_EXCLUSION, dtype=np.float64)
+
 # |wp'| below this multiple of |wp''| marks a half-period, where the duplication
 # formula degenerates; relative, since wp' is of order k^2 in the flat band near iK'
 _HALF_PERIOD_TOL = 1e-8
@@ -208,13 +213,12 @@ class _ArrayConstants:
     (NEP 50), ~0.2 us more than a 0-d array of the other operand's dtype
     costs on a short array. The array holds the same double and the same
     loop runs, so every value is bitwise what the Python number gives.
-    Complex: the ``Nome`` fields of the same names, the 1 and 2 of
-    x = 2q (1 - 2 sin^2 v), and ``roots``, what ``_kernel`` adds for wp
-    and for Q; real: the periods and the pole radius of the cell reduction.
+    Complex: the ``Nome`` fields of the same names and ``roots``, what
+    ``_kernel`` adds for wp and for Q; real: the periods of the cell reduction.
     """
 
-    __slots__ = ("scale", "two_q", "one", "two", "theta3", "theta1", "c2", "c3", "roots",
-                 "two_k", "two_k_prime", "pole_exclusion")
+    __slots__ = ("scale", "two_q", "theta3", "theta1", "c2", "c3", "roots",
+                 "two_k", "two_k_prime")
 
     def __init__(self, ctx: ShenContext):
         lat, nome = ctx.lat, ctx.lat.nome
@@ -222,14 +226,12 @@ class _ArrayConstants:
         def typed(value):
             return np.array(value, dtype=np.complex128)
 
-        self.scale, self.two_q, self.one, self.two = map(typed, (nome.scale, nome.two_q, 1.0, 2.0))
+        self.scale, self.two_q = typed(nome.scale), typed(nome.two_q)
         self.theta3, self.theta1 = tuple(map(typed, nome.theta3)), tuple(map(typed, nome.theta1))
         self.c2, self.c3 = typed(nome.c2), typed(nome.c3)
-        self.roots = (typed(lat.e1 if nome.rotated else lat.e3),
-                      typed(ctx.q_roots[0 if nome.rotated else 2]))
-        self.two_k, self.two_k_prime, self.pole_exclusion = (
-            np.array(value, dtype=np.float64)
-            for value in (2.0 * lat.K, 2.0 * lat.K_prime, POLE_EXCLUSION))
+        self.roots = (typed(_kernel_root(ctx, False)), typed(_kernel_root(ctx, True)))
+        self.two_k, self.two_k_prime = (np.array(2.0 * lat.K, dtype=np.float64),
+                                        np.array(2.0 * lat.K_prime, dtype=np.float64))
 
 
 def _theta_coefficients(q):
@@ -283,7 +285,7 @@ def _nome_of_lattice(lat: Lattice) -> Nome:
 def _theta_quotients(w, c, sin, cos, one=1.0, two=2.0):
     # (wp - e, wp') at reduced w: for a number c is the Nome and sin, cos are
     # cmath's; for an array c is the context's _ArrayConstants, sin, cos are
-    # numpy's and one, two are c's
+    # numpy's and one, two are _ONE, _TWO
     v = c.scale * w
     sine, cosine = sin(v), cos(v)
     # x = 2 q cos 2v stays below 1 + q^2 where cos 2v itself may overflow
@@ -293,6 +295,13 @@ def _theta_quotients(w, c, sin, cos, one=1.0, two=2.0):
     ratio = theta4 / denom
     return (c.c2 * ratio * ratio,
             c.c3 * cosine * cosine_part * theta3 * ratio / (denom * denom))
+
+
+def _kernel_root(ctx: ShenContext, q_form):
+    # the root _kernel adds back: e3 or Q3, or on the turned lattice e1 or Q1
+    if q_form:
+        return ctx.q_roots[0 if ctx.lat.nome.rotated else 2]
+    return ctx.lat.e1 if ctx.lat.nome.rotated else ctx.lat.e3
 
 
 def _kernel(ctx: ShenContext, z, q_form):
@@ -310,18 +319,15 @@ def _kernel(ctx: ShenContext, z, q_form):
     if not isinstance(w, np.ndarray):
         if abs(w) < POLE_EXCLUSION:
             raise PoleError(f"z={z!r} is within {POLE_EXCLUSION} of a lattice point")
-        nome = ctx.lat.nome
-        part, dp = _theta_quotients(w, nome, cmath.sin, cmath.cos)
-        if q_form:
-            return ctx.q_roots[0 if nome.rotated else 2] + part, dp
-        return (ctx.lat.e1 if nome.rotated else ctx.lat.e3) + part, dp
+        part, dp = _theta_quotients(w, ctx.lat.nome, cmath.sin, cmath.cos)
+        return _kernel_root(ctx, q_form) + part, dp
     c = ctx._array_constants
-    pole = np.abs(w) < c.pole_exclusion
+    pole = np.abs(w) < _POLE_EXCLUSION
     if not pole.any():  # the common case: no masked copies, no warning state
-        part, dp = _theta_quotients(w, c, np.sin, np.cos, c.one, c.two)
+        part, dp = _theta_quotients(w, c, np.sin, np.cos, _ONE, _TWO)
         return c.roots[q_form] + part, dp
     with np.errstate(all="ignore"):
-        part, dp = _theta_quotients(w, c, np.sin, np.cos, c.one, c.two)
+        part, dp = _theta_quotients(w, c, np.sin, np.cos, _ONE, _TWO)
     return c.roots[q_form] + np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
 
 

@@ -1,15 +1,14 @@
 """Run the benchmark on a parent commit and a change in alternating pairs; write the summary.
 
-    python3 tools/bench_pairs.py PARENT_REF N --seed S --out BENCH_n.json [--change REF]
+    python3 tools/bench_pairs.py PARENT_REF N --seed S --out BENCH_n.json
                                  [--claim WORKLOAD:METRIC]
 
 Each run is ``bench/run.py --workload all --seed <seed> --seconds <run_seconds>``
 (the command and run length of ``BENCHMARK.json``) in a fresh ``git archive``
 export of its commit, one run at a time. Pair i uses seed S + i; the parent
 runs first in pairs 0, 2, 4, ... and the change first in the others. The
-change is ``HEAD`` unless ``--change`` names another commit, so commit what
-is to be measured first. Exports go to the system's temporary directory
-(``TMPDIR``) and are removed after each run.
+change is ``HEAD``, so commit what is to be measured first. Exports go to
+the system's temporary directory (``TMPDIR``) and are removed after each run.
 
 The output file is rewritten after every pair. Per workload and end-to-end
 metric it holds each side's median, quartiles (inclusive method) and
@@ -112,7 +111,6 @@ def main(argv=None):
     parser.add_argument("pairs", metavar="N", type=int)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--change", default="HEAD")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -124,7 +122,7 @@ def main(argv=None):
         if workload not in {w["name"] for w in config["workloads"]} or metric not in metrics:
             parser.error(f"--claim {args.claim}: not a workload and end-to-end metric")
     commits = {"parent": _git("rev-parse", f"{args.parent}^{{commit}}"),
-               "change": _git("rev-parse", f"{args.change}^{{commit}}")}
+               "change": _git("rev-parse", "HEAD^{commit}")}
     command, seconds = config["command"], config["run_seconds"]
     seeds = [args.seed + i for i in range(args.pairs)]
     result = {
