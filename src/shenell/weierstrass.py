@@ -59,7 +59,8 @@ class Invariants:
 class Nome:
     """Constants of the theta-quotient kernel of one lattice (see ``_nome_of_lattice``)."""
 
-    rotated: bool
+    root: tuple         # (e, i): the kernel gives wp - e, e3 with i = 2, or on the turned
+                        # lattice e1 with i = 0; for Q it adds ShenContext.q_roots[i]
     scale: complex      # maps a reduced z to the theta argument v
     two_q: float        # 2q, q the nome
     theta3: tuple       # series coefficients, see _theta_coefficients
@@ -229,7 +230,8 @@ class _ArrayConstants:
         self.scale, self.two_q = typed(nome.scale), typed(nome.two_q)
         self.theta3, self.theta1 = tuple(map(typed, nome.theta3)), tuple(map(typed, nome.theta1))
         self.c2, self.c3 = typed(nome.c2), typed(nome.c3)
-        self.roots = (typed(_kernel_root(ctx, False)), typed(_kernel_root(ctx, True)))
+        e, i = nome.root
+        self.roots = (typed(e), typed(ctx.q_roots[i]))
         self.two_k, self.two_k_prime = (np.array(2.0 * lat.K, dtype=np.float64),
                                         np.array(2.0 * lat.K_prime, dtype=np.float64))
 
@@ -277,9 +279,9 @@ def _nome_of_lattice(lat: Lattice) -> Nome:
     at3, at4, _, at2 = _theta_sums(2.0 * q, theta3, theta1)
     # wp(z; L) = -wp(iz; iL), wp'(z; L) = -i wp'(iz; iL)
     turn, sign, cube = (1j, -1.0, -1j) if rotated else (1.0, 1.0, 1.0)
-    return Nome(rotated=rotated, scale=s * turn, two_q=2.0 * q, theta3=theta3, theta1=theta1,
-                c2=sign * (s * at2 * at3) ** 2, c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2,
-                reach=2.0 ** 26 * (2.0 * half))
+    return Nome(root=(lat.e1, 0) if rotated else (lat.e3, 2), scale=s * turn, two_q=2.0 * q,
+                theta3=theta3, theta1=theta1, c2=sign * (s * at2 * at3) ** 2,
+                c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2, reach=2.0 ** 26 * (2.0 * half))
 
 
 def _theta_quotients(w, c, sin, cos, one=1.0, two=2.0):
@@ -297,19 +299,12 @@ def _theta_quotients(w, c, sin, cos, one=1.0, two=2.0):
             c.c3 * cosine * cosine_part * theta3 * ratio / (denom * denom))
 
 
-def _kernel_root(ctx: ShenContext, q_form):
-    # the root _kernel adds back: e3 or Q3, or on the turned lattice e1 or Q1
-    if q_form:
-        return ctx.q_roots[0 if ctx.lat.nome.rotated else 2]
-    return ctx.lat.e1 if ctx.lat.nome.rotated else ctx.lat.e3
-
-
 def _kernel(ctx: ShenContext, z, q_form):
     """(wp(z), wp'(z)), or (Q(z), wp'(z)) with ``q_form``.
 
-    The theta quotients give wp - e for the kernel root e (e3, or e1 when
-    ``ctx.lat.nome.rotated``); e is added back, or for Q the root Q_e of
-    ``ctx.q_roots`` (Q3, or Q1).
+    The theta quotients give wp - e for the kernel root (e, i) =
+    ``ctx.lat.nome.root`` (e3, or e1 on the turned lattice); e is added
+    back, or for Q the root ``ctx.q_roots[i]`` (Q3, or Q1).
 
     z is reduced to the cell first (DomainError as in ``reduce_to_cell``).
     A number within POLE_EXCLUSION of a lattice point raises PoleError; in
@@ -319,8 +314,10 @@ def _kernel(ctx: ShenContext, z, q_form):
     if not isinstance(w, np.ndarray):
         if abs(w) < POLE_EXCLUSION:
             raise PoleError(f"z={z!r} is within {POLE_EXCLUSION} of a lattice point")
-        part, dp = _theta_quotients(w, ctx.lat.nome, cmath.sin, cmath.cos)
-        return _kernel_root(ctx, q_form) + part, dp
+        nome = ctx.lat.nome
+        part, dp = _theta_quotients(w, nome, cmath.sin, cmath.cos)
+        e, i = nome.root
+        return (ctx.q_roots[i] if q_form else e) + part, dp
     c = ctx._array_constants
     pole = np.abs(w) < _POLE_EXCLUSION
     if not pole.any():  # the common case: no masked copies, no warning state
