@@ -15,8 +15,8 @@ reproduces it byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error:
 the library checks every input, and main maps its errors to 2.
-The SHEN_DEFAULT_TOL environment variable overrides the generic default
-tolerance (1e-9) of ``verify``; an explicit --tol overrides everything.
+Each ``verify`` suite has a pinned default tolerance; an explicit --tol
+overrides it for every selected suite.
 """
 
 import argparse

@@ -12,7 +12,8 @@ poles; s and c themselves are not elliptic and are only exposed on the
 real principal branch (see :mod:`shenell.phase`).
 
 Each function of z takes ``(ctx, z)`` and has one body for a number and
-an ndarray, as the kernel does: where a number raises PoleError, an array holds nan.
+an ndarray, as the kernel does: where a number raises PoleError, an array holds nan,
+and a 0-d array gives what the one-entry array gives, reshaped back.
 """
 
 import math
@@ -48,9 +49,11 @@ def _by_pole_rules(ctx: ShenContext, z, formula, at_lattice, poles=True):
     # ``at_lattice`` exactly where the kernel refuses a lattice point, and in
     # the pole disc of d (see D_POLE_TOL; with ``poles``) PoleError for a
     # number and nan in an array; elsewhere in the disc, where Q may round
-    # to 0, Q is taken at its edge
+    # to 0, Q is taken at its edge; a 0-d array runs as the one-entry array
     if isinstance(z, _Evaluated):
         q, dp = z
+    elif isinstance(z, np.ndarray) and not z.ndim:
+        return _by_pole_rules(ctx, z.reshape(1), formula, at_lattice, poles).reshape(())
     else:
         try:
             q, dp = q_with_prime(ctx, z)
@@ -116,7 +119,7 @@ def s_squared(ctx: ShenContext, z):
 
 def c_squared(ctx: ShenContext, z):
     """Pythagorean complement 1 - s^2; poles as ``d_complex``."""
-    return 1.0 - s_squared(ctx, z)
+    return _by_pole_rules(ctx, z, lambda q, _: 1.0 - _s2_of_q(ctx, q), complex(1.0, 0.0))
 
 
 def sc_product(ctx: ShenContext, z):
@@ -180,8 +183,10 @@ def substitution_chain_check(ctx: ShenContext, z):
     one shows up here. z is a number or an ndarray. A number raises
     DegenerateError where d(z) = 1 (lattice points, where Q is infinite)
     and PoleError at the poles of d, as ``d_complex``; an array holds nan
-    at both.
+    at both, and a 0-d one runs as the one-entry array.
     """
+    if isinstance(z, np.ndarray) and not z.ndim:
+        return substitution_chain_check(ctx, z.reshape(1)).reshape(())
     q = _by_pole_rules(ctx, z, lambda q, _: q, math.inf)
     if not isinstance(q, np.ndarray):
         one_minus_d = 1.0 - _d_of_q(ctx, q)

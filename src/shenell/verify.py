@@ -8,12 +8,12 @@ arrays and passed to the public functions of :mod:`shenell.field` and
 :mod:`shenell.phase`, which take arrays as they take numbers. The kernel
 is evaluated once per sample: a suite that draws its samples by
 rejection keeps the kernel values its acceptance test computed, and
-hands them to the field functions in place of the points. Default
-tolerances are pinned per suite where an identity has
-a natural accuracy scale (derivatives and period shifts near poles,
-slope fits, exact arithmetic); the rest use the generic default of
-1e-9, overridable through the SHEN_DEFAULT_TOL environment variable.
-An explicit tolerance always wins.
+hands them to the field functions in place of the points. Every suite
+has a pinned default tolerance, set by the accuracy scale of its
+identity (derivatives and period shifts near poles, slope fits, exact
+arithmetic), 1e-9 where none sets it; an explicit tolerance always wins.
+A nan residual fails: every suite takes its worst residual with a
+maximum that propagates nan.
 
 Three suites check only constants and rounding, with no independent
 route: ``cubic-relation`` (s^2 is that relation solved), the complex half
@@ -21,7 +21,6 @@ of ``substitution-chain`` (1 - d is (4/9) k^2 / Q) and ``pythagorean``.
 """
 
 import math
-import os
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,9 +34,6 @@ from .field import (_RADII, _Evaluated, _slope, _substitution_residual,
 from .phase import _phase_and_q, phi_of_u, scd_real, u_of_phi
 from .poles import certify_pole, factorization_check
 from .weierstrass import ShenContext, _duplication_residual, q_with_prime, wp_with_prime
-
-GENERIC_DEFAULT_TOL = 1e-9
-_ENV_VAR = "SHEN_DEFAULT_TOL"
 
 # Pole-order windows: slope of |d| within 0.05 of -1, slope of |s^2|
 # within 0.1 of -3. The suite residual is the worst deviation relative
@@ -83,6 +79,11 @@ def _sample_cell(ctx, name, count, accept):
         if sum(part[0].size for part in kept) >= count:
             return tuple(np.concatenate(column)[:count] for column in zip(*kept))
     raise ConvergenceError("rejection sampling exhausted its attempt budget")
+
+
+def _worst(*residuals) -> float:
+    # the largest residual, nan if any is nan (Python's max(a, nan) returns a)
+    return float(np.max(residuals))
 
 
 def _kernel(ctx, z):
@@ -163,7 +164,7 @@ def _suite_pole(ctx):
     residual = certify_pole(ctx)
     a = (2.0 / 3.0) * 1.0j * ctx.lat.K_prime
     congruence = abs(q_with_prime(ctx, 2.0 * a)[0] - q_with_prime(ctx, a)[0])
-    return 2, max(residual, congruence)
+    return 2, _worst(residual, congruence)
 
 
 def _suite_periodicity(ctx):
@@ -189,17 +190,15 @@ def _suite_pole_order(ctx):
     # the fit of pole_order_slope, on one kernel pass over the radius sweep
     at = _kernel(ctx, (2.0 / 3.0) * 1.0j * ctx.lat.K_prime + _RADII)
     slope_d, slope_s2 = (_slope(np.log(np.abs(f(ctx, at)))) for f in (d_complex, s_squared))
-    worst = max(abs(slope_d + 1.0) / _SLOPE_WINDOW_D,
-                abs(slope_s2 + 3.0) / _SLOPE_WINDOW_S2)
-    return 2, worst
+    return 2, _worst(abs(slope_d + 1.0) / _SLOPE_WINDOW_D, abs(slope_s2 + 3.0) / _SLOPE_WINDOW_S2)
 
 
-#: suite name -> (runner(ctx) -> (samples, worst residual), pinned tolerance or None)
+#: suite name -> (runner(ctx) -> (samples, worst residual), pinned tolerance)
 SUITES = {
     "pythagorean": (_suite_pythagorean, 1e-13),
-    "cubic-relation": (_suite_cubic_relation, None),
+    "cubic-relation": (_suite_cubic_relation, 1e-9),
     "d-ode": (_suite_d_ode, 1e-7),
-    "duplication": (_suite_duplication, None),
+    "duplication": (_suite_duplication, 1e-9),
     "substitution-chain": (_suite_substitution_chain, 1e-8),
     "factorization": (_suite_factorization, 0.5),
     "pole": (_suite_pole, 1e-10),
@@ -221,26 +220,19 @@ def _suite(name):
                           f"{', '.join(available_suites())}") from None
 
 
-def _tolerance(value, source):
-    # the one tolerance rule: a finite number > 0, else DomainError naming its source
+def _tolerance(value):
+    # the one rule for an explicit tolerance: a finite number > 0, else DomainError
     try:
         if math.isfinite(tol := float(value)) and tol > 0.0:
             return tol
     except (TypeError, ValueError):
         pass
-    raise DomainError(f"{source} must be a finite positive number, got {value!r}")
+    raise DomainError(f"tol must be a finite positive number, got {value!r}")
 
 
 def default_tolerance(name: str) -> float:
-    """The tolerance used for ``name`` when none is given explicitly.
-
-    Raises DomainError for an unknown suite, and for a SHEN_DEFAULT_TOL
-    that is not a finite positive number where it applies.
-    """
-    pinned = _suite(name)[1]
-    if pinned is not None:
-        return pinned
-    return _tolerance(os.environ.get(_ENV_VAR, repr(GENERIC_DEFAULT_TOL)), _ENV_VAR)
+    """The pinned tolerance of suite ``name``, used when none is given; DomainError if unknown."""
+    return _suite(name)[1]
 
 
 def run_suite(name: str, k: float, tol: float = None) -> VerificationReport:
@@ -248,9 +240,9 @@ def run_suite(name: str, k: float, tol: float = None) -> VerificationReport:
 
     A bad name, ``k`` or tolerance (``tol`` finite, > 0) raises DomainError first.
     """
-    runner = _suite(name)[0]
+    runner, pinned = _suite(name)
     ctx = ShenContext.from_modulus(k)
-    tolerance = _tolerance(tol, "tol") if tol is not None else default_tolerance(name)
+    tolerance = pinned if tol is None else _tolerance(tol)
     samples, worst = runner(ctx)
     return VerificationReport(identity_name=name, k=k, samples=samples, max_residual=worst,
                               tolerance=tolerance, passed=worst < tolerance)
@@ -265,7 +257,7 @@ def run_suites(names, ks, tol: float = None):
     for name in names:
         _suite(name)
     if tol is not None:
-        _tolerance(tol, "tol")
+        _tolerance(tol)
     reports = [run_suite(name, k, tol) for name in names for k in ks]
     reports.sort(key=lambda r: (r.identity_name, r.k))
     return reports

@@ -32,7 +32,7 @@ Modulus = float
 #: Radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
 
-# the operands of the array kernel that no context changes, typed as _ArrayConstants
+# the operands of the array kernel that no context changes, typed as _KernelConstants
 # explains: the 1 and 2 of x = 2q (1 - 2 sin^2 v), and the pole radius
 _ONE, _TWO = np.array(1.0, dtype=np.complex128), np.array(2.0, dtype=np.complex128)
 _POLE_EXCLUSION = np.array(POLE_EXCLUSION, dtype=np.float64)
@@ -56,21 +56,6 @@ class Invariants:
 
 
 @dataclass(frozen=True)
-class Nome:
-    """Constants of the theta-quotient kernel of one lattice (see ``_nome_of_lattice``)."""
-
-    root: tuple         # (e, i): the kernel gives wp - e, e3 with i = 2, or on the turned
-                        # lattice e1 with i = 0; for Q it adds ShenContext.q_roots[i]
-    scale: complex      # maps a reduced z to the theta argument v
-    two_q: float        # 2q, q the nome
-    theta3: tuple       # series coefficients, see _theta_coefficients
-    theta1: tuple
-    c2: float           # the theta constants at 0 of wp - e and wp'
-    c3: complex
-    reach: float        # |z| bound of reduce_to_cell: 2^26 times the shorter period
-
-
-@dataclass(frozen=True)
 class Lattice:
     """Half-periods K, K' (2K and 2iK' generate the lattice) and the cubic roots."""
 
@@ -79,10 +64,6 @@ class Lattice:
     e1: float
     e2: float
     e3: float
-    nome: Nome = field(init=False, repr=False, compare=False)  # derived: the kernel constants
-
-    def __post_init__(self):
-        object.__setattr__(self, "nome", _nome_of_lattice(self))
 
 
 def _check_modulus(k: float) -> None:
@@ -173,13 +154,14 @@ def lattice_of_invariants(inv: Invariants) -> Lattice:
 
 @dataclass(frozen=True)
 class ShenContext:
-    """A modulus with its invariants, lattice (with the wp kernel constants) and Q roots.
+    """A modulus with its invariants, lattice and Q roots, and the wp kernel's constants.
 
     ``q_roots`` is derived from the other fields. The roots
     Q1 > Q2 > Q3 of Q = wp + 1/3 (Q'^2 = 4 Q^3 - 4 Q^2 + (32/27) k^2 Q -
     (64/729) k^4) are e_j + 1/3, but Q2 and Q3 are of order k^2, so they
     come from k: Q2 + Q3 = sqrt((e2 - e3)^2 + (64/729) k^4 / Q1),
-    Q2 = (Q2 + Q3 + e2 - e3) / 2 and Q3 = (16/729) k^4 / (Q1 Q2).
+    Q2 = (Q2 + Q3 + e2 - e3) / 2 and Q3 = (16/729) k^4 / (Q1 Q2). The
+    ``_KernelConstants`` are attributes, not fields, outside ``==``, ``hash`` and ``repr``.
     """
 
     k: Modulus
@@ -193,11 +175,12 @@ class ShenContext:
         k4 = (self.k * self.k) ** 2
         q2 = 0.5 * (math.sqrt(d23 * d23 + (64.0 / 729.0) * k4 / q1) + d23)
         object.__setattr__(self, "q_roots", (q1, q2, (16.0 / 729.0) * k4 / (q1 * q2)))
+        object.__setattr__(self, "_constants", _KernelConstants(self))
 
     @cached_property
-    def _array_constants(self) -> "_ArrayConstants":
+    def _array_constants(self) -> "_KernelConstants":
         # built on the first array call, so a context that only sees numbers never pays
-        return _ArrayConstants(self)
+        return self._constants.typed()
 
     @classmethod
     @lru_cache(maxsize=32, typed=True)
@@ -207,33 +190,64 @@ class ShenContext:
         return cls(k=k, inv=inv, lat=lattice_of_invariants(inv))
 
 
-class _ArrayConstants:
-    """The kernel constants of one context as 0-d arrays, for ndarray operands.
+class _KernelConstants:
+    """What the theta-quotient kernel and the cell reduction read for one context.
 
-    numpy converts a Python number operand of a ufunc on every call
-    (NEP 50), ~0.2 us more than a 0-d array of the other operand's dtype
-    costs on a short array. The array holds the same double and the same
-    loop runs, so every value is bitwise what the Python number gives.
-    Complex: the ``Nome`` fields of the same names and ``roots``, what
-    ``_kernel`` adds for wp and for Q; real: the periods of the cell reduction.
+    A context holds two: ``_constants`` of Python numbers, for the cmath
+    path, and ``_array_constants``, the same values as 0-d arrays. ``root``
+    is (e, Q_e): the kernel gives wp - e and adds back e for wp, Q_e for Q.
+    With v = pi z / (2K), q = exp(-pi K'/K),
+
+        wp - e3 = (pi / 2K)^2 (theta2(0) theta3(0) theta4(v) / theta1(v))^2,
+        wp' = -2 (pi / 2K)^3 (theta2 theta3 theta4(0))^2
+              theta2(v) theta3(v) theta4(v) / theta1(v)^3
+
+    (DLMF 23.6.5); the factors q^(1/4) of theta1 and theta2 cancel. When
+    K' < K the lattice turned by i is used, wp(z; L) = -wp(iz; iL), with
+    K and K' swapped and e1 for e3, so q <= exp(-pi) either way.
     """
 
-    __slots__ = ("scale", "two_q", "theta3", "theta1", "c2", "c3", "roots",
-                 "two_k", "two_k_prime")
+    __slots__ = ("scale", "two_q", "theta3", "theta1", "c2", "c3", "root",
+                 "two_k", "two_k_prime", "reach")
 
     def __init__(self, ctx: ShenContext):
-        lat, nome = ctx.lat, ctx.lat.nome
+        lat = ctx.lat
+        rotated = lat.K_prime < lat.K
+        half, other = (lat.K_prime, lat.K) if rotated else (lat.K, lat.K_prime)
+        q = math.exp(-math.pi * other / half)
+        s = math.pi / (2.0 * half)
+        self.theta3, self.theta1 = _theta_coefficients(q)
+        at3, at4, _, at2 = _theta_sums(2.0 * q, self.theta3, self.theta1)
+        # wp(z; L) = -wp(iz; iL), wp'(z; L) = -i wp'(iz; iL)
+        turn, sign, cube = (1j, -1.0, -1j) if rotated else (1.0, 1.0, 1.0)
+        self.scale, self.two_q = s * turn, 2.0 * q
+        self.c2 = sign * (s * at2 * at3) ** 2  # the theta constants at 0 of wp - e and wp'
+        self.c3 = cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2
+        self.root = (lat.e1, ctx.q_roots[0]) if rotated else (lat.e3, ctx.q_roots[2])
+        self.two_k, self.two_k_prime = 2.0 * lat.K, 2.0 * lat.K_prime
+        self.reach = 2.0 ** 26 * (2.0 * half)  # reduce_to_cell's bound on |z|
 
-        def typed(value):
-            return np.array(value, dtype=np.complex128)
+    def typed(self) -> "_KernelConstants":
+        """The same constants as 0-d arrays: complex128, float64 for 2K and 2K'.
 
-        self.scale, self.two_q = typed(nome.scale), typed(nome.two_q)
-        self.theta3, self.theta1 = tuple(map(typed, nome.theta3)), tuple(map(typed, nome.theta1))
-        self.c2, self.c3 = typed(nome.c2), typed(nome.c3)
-        e, i = nome.root
-        self.roots = (typed(e), typed(ctx.q_roots[i]))
-        self.two_k, self.two_k_prime = (np.array(2.0 * lat.K, dtype=np.float64),
-                                        np.array(2.0 * lat.K_prime, dtype=np.float64))
+        numpy converts a Python number operand of a ufunc on every call
+        (NEP 50), ~0.2 us more than a 0-d array of the other operand's dtype
+        costs on a short array. The array holds the same double and the same
+        loop runs, so every value is bitwise what the Python number gives.
+        ``reach`` stays a number: it meets a numpy scalar, not an array.
+        """
+        def complex128(*values):
+            return tuple(np.array(value, dtype=np.complex128) for value in values)
+
+        arrays = object.__new__(_KernelConstants)
+        arrays.scale, arrays.two_q, arrays.c2, arrays.c3 = complex128(
+            self.scale, self.two_q, self.c2, self.c3)
+        arrays.theta3, arrays.theta1, arrays.root = (
+            complex128(*self.theta3), complex128(*self.theta1), complex128(*self.root))
+        arrays.two_k, arrays.two_k_prime = (np.array(self.two_k, dtype=np.float64),
+                                            np.array(self.two_k_prime, dtype=np.float64))
+        arrays.reach = self.reach
+        return arrays
 
 
 def _theta_coefficients(q):
@@ -260,34 +274,10 @@ def _theta_sums(x, theta3, theta1):
     return even + odd, even - odd, even1 + odd1, even1 - odd1
 
 
-def _nome_of_lattice(lat: Lattice) -> Nome:
-    """The kernel constants of ``lat``. With v = pi z / (2K), q = exp(-pi K'/K),
-
-        wp - e3 = (pi / 2K)^2 (theta2(0) theta3(0) theta4(v) / theta1(v))^2,
-        wp' = -2 (pi / 2K)^3 (theta2 theta3 theta4(0))^2
-              theta2(v) theta3(v) theta4(v) / theta1(v)^3
-
-    (DLMF 23.6.5); the factors q^(1/4) of theta1 and theta2 cancel. When
-    K' < K the lattice turned by i is used, wp(z; L) = -wp(iz; iL), with
-    K and K' swapped and e1 for e3, so q <= exp(-pi) either way.
-    """
-    rotated = lat.K_prime < lat.K
-    half, other = (lat.K_prime, lat.K) if rotated else (lat.K, lat.K_prime)
-    q = math.exp(-math.pi * other / half)
-    s = math.pi / (2.0 * half)
-    theta3, theta1 = _theta_coefficients(q)
-    at3, at4, _, at2 = _theta_sums(2.0 * q, theta3, theta1)
-    # wp(z; L) = -wp(iz; iL), wp'(z; L) = -i wp'(iz; iL)
-    turn, sign, cube = (1j, -1.0, -1j) if rotated else (1.0, 1.0, 1.0)
-    return Nome(root=(lat.e1, 0) if rotated else (lat.e3, 2), scale=s * turn, two_q=2.0 * q,
-                theta3=theta3, theta1=theta1, c2=sign * (s * at2 * at3) ** 2,
-                c3=cube * -2.0 * s ** 3 * (at2 * at3 * at4) ** 2, reach=2.0 ** 26 * (2.0 * half))
-
-
 def _theta_quotients(w, c, sin, cos, one=1.0, two=2.0):
-    # (wp - e, wp') at reduced w: for a number c is the Nome and sin, cos are
-    # cmath's; for an array c is the context's _ArrayConstants, sin, cos are
-    # numpy's and one, two are _ONE, _TWO
+    # (wp - e, wp') at reduced w, with c the context's _KernelConstants: for a
+    # number the Python numbers and cmath's sin, cos; for an array the 0-d
+    # arrays, numpy's sin, cos and _ONE, _TWO
     v = c.scale * w
     sine, cosine = sin(v), cos(v)
     # x = 2 q cos 2v stays below 1 + q^2 where cos 2v itself may overflow
@@ -302,57 +292,57 @@ def _theta_quotients(w, c, sin, cos, one=1.0, two=2.0):
 def _kernel(ctx: ShenContext, z, q_form):
     """(wp(z), wp'(z)), or (Q(z), wp'(z)) with ``q_form``.
 
-    The theta quotients give wp - e for the kernel root (e, i) =
-    ``ctx.lat.nome.root`` (e3, or e1 on the turned lattice); e is added
-    back, or for Q the root ``ctx.q_roots[i]`` (Q3, or Q1).
-
-    z is reduced to the cell first (DomainError as in ``reduce_to_cell``).
-    A number within POLE_EXCLUSION of a lattice point raises PoleError; in
-    an ndarray such points, and only they, are nan.
+    The theta quotients give wp - e for the kernel root (e, Q_e), and e is
+    added back, or Q_e for Q. z is reduced to the cell first (DomainError
+    as in ``reduce_to_cell``). A number within POLE_EXCLUSION of a lattice
+    point raises PoleError; in an ndarray such points, and only they, are
+    nan. A 0-d ndarray runs as the one-entry array, reshaped back.
     """
-    w = reduce_to_cell(ctx, z)
-    if not isinstance(w, np.ndarray):
+    if not isinstance(z, np.ndarray):
+        w = reduce_to_cell(ctx, z)
         if abs(w) < POLE_EXCLUSION:
             raise PoleError(f"z={z!r} is within {POLE_EXCLUSION} of a lattice point")
-        nome = ctx.lat.nome
-        part, dp = _theta_quotients(w, nome, cmath.sin, cmath.cos)
-        e, i = nome.root
-        return (ctx.q_roots[i] if q_form else e) + part, dp
+        c = ctx._constants
+        part, dp = _theta_quotients(w, c, cmath.sin, cmath.cos)
+        return c.root[q_form] + part, dp
+    if not z.ndim:  # numpy gives scalars, not arrays, for 0-d operands
+        return tuple(value.reshape(()) for value in _kernel(ctx, z.reshape(1), q_form))
+    w = reduce_to_cell(ctx, z)
     c = ctx._array_constants
     pole = np.abs(w) < _POLE_EXCLUSION
     if not pole.any():  # the common case: no masked copies, no warning state
         part, dp = _theta_quotients(w, c, np.sin, np.cos, _ONE, _TWO)
-        return c.roots[q_form] + part, dp
+        return c.root[q_form] + part, dp
     with np.errstate(all="ignore"):
         part, dp = _theta_quotients(w, c, np.sin, np.cos, _ONE, _TWO)
-    return c.roots[q_form] + np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
+    return c.root[q_form] + np.where(pole, np.nan, part), np.where(pole, np.nan, dp)
 
 
 def reduce_to_cell(ctx: ShenContext, z):
     """Translate z, a number or an ndarray, by lattice vectors into the cell [-K, K] x [-K', K'].
 
     z - 2K round(z / 2K) loses a bit of the result per doubling of the
-    period count, so DomainError unless |z| is below ``ctx.lat.nome.reach``,
-    2^26 times the shorter period 2 min(K, K'), which keeps 26 of the 53
-    bits; a non-finite z fails the same comparison. An ndarray is refused
-    whole, before anything is reduced, if any entry fails.
+    period count, so DomainError unless |z| is below 2^26 times the
+    shorter period 2 min(K, K'), which keeps 26 of the 53 bits; a
+    non-finite z fails the same comparison. An ndarray is refused whole,
+    before anything is reduced, if any entry fails.
     """
-    lat = ctx.lat
     if not isinstance(z, np.ndarray):
+        c = ctx._constants
         z = complex(z)
         try:
             size = abs(z)
         except OverflowError:  # |z| beyond the largest float; numpy gives inf
             size = math.inf
-        if not size < lat.nome.reach:
+        if not size < c.reach:
             raise DomainError(f"z={z!r} is not finite or is 2^26 periods or more from the origin")
-        return complex(z.real - 2.0 * lat.K * round(z.real / (2.0 * lat.K)),
-                       z.imag - 2.0 * lat.K_prime * round(z.imag / (2.0 * lat.K_prime)))
+        return complex(z.real - c.two_k * round(z.real / c.two_k),
+                       z.imag - c.two_k_prime * round(z.imag / c.two_k_prime))
+    c = ctx._array_constants
     z = np.asarray(z, dtype=complex)
-    if not abs(z).max(initial=0.0) < lat.nome.reach:
+    if not abs(z).max(initial=0.0) < c.reach:
         raise DomainError("z holds an entry that is not finite or is 2^26 periods or more "
                           "from the origin")
-    c = ctx._array_constants
     w = np.empty(z.shape, dtype=complex)
     # round half to even, like round() for numbers
     w.real = z.real - c.two_k * np.rint(z.real / c.two_k)
@@ -361,7 +351,7 @@ def reduce_to_cell(ctx: ShenContext, z):
 
 
 def wp_with_prime(ctx: ShenContext, z) -> tuple:
-    """(wp(z), wp'(z)) from theta quotients; of the context only ``ctx.lat`` is read.
+    """(wp(z), wp'(z)) from theta quotients.
 
     z is a number or an ndarray that ``reduce_to_cell`` accepts, else DomainError. A number
     within POLE_EXCLUSION of a lattice point raises PoleError; an array has nan.
@@ -395,11 +385,14 @@ def duplication_check(ctx: ShenContext, a) -> float:
     wp calls, the right from wp(a), wp'(a) and wp'' = 6 wp^2 - g2/2. A
     number a raises DegenerateError at a half-period, where
     |wp'(a)| < 1e-8 |wp''(a)|, and PoleError at a lattice point; an
-    ndarray a holds nan at both.
+    ndarray a holds nan at both, and a 0-d one runs as the one-entry array.
     """
+    array = isinstance(a, np.ndarray)
+    if array and not a.ndim:
+        return duplication_check(ctx, a.reshape(1)).reshape(())
     pa, dpa = wp_with_prime(ctx, a)
     half = abs(dpa) < _HALF_PERIOD_TOL * abs(_wp_second(ctx.inv, pa))
-    if not isinstance(pa, np.ndarray):
+    if not array:
         if half:
             raise DegenerateError(f"wp'(a) ~ 0 at a={a!r}; a is congruent to a half-period")
         return _duplication_residual(ctx.inv, pa, dpa, wp(ctx, 2.0 * complex(a)))

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shenell import (D_POLE_TOL, DomainError, PoleError, ShenContext, c_squared,
-                     cubic_relation_residual, d_complex, d_ode_residual, phi_of_u, q_with_prime,
-                     s_squared, sc_product, scd_real, substitution_chain_check, wp,
-                     wp_with_prime)
+                     cubic_relation_residual, d_complex, d_ode_residual, duplication_check,
+                     phi_of_u, q_with_prime, reduce_to_cell, s_squared, sc_product, scd_real,
+                     substitution_chain_check, wp, wp_with_prime)
 from shenell.cli import MAX_GRID_POINTS, UsageError, build_sample_grid
 from helpers import wp_oracle_factory
 
@@ -319,8 +319,7 @@ def test_0d_and_2d_arrays_keep_their_shape_and_complex_dtype(k):
     """The kernel and the sample functions keep z's shape and the values of the flat array.
 
     A 2-D array, with a lattice point and a pole of d, runs the loops of
-    its flat copy, bitwise; a 0-d one runs numpy's scalar arithmetic,
-    which rounds apart from the loops in the last bits.
+    its flat copy, bitwise; a 0-d one runs as the one-entry array.
     """
     ctx = ShenContext.from_modulus(k)
     big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
@@ -332,8 +331,31 @@ def test_0d_and_2d_arrays_keep_their_shape_and_complex_dtype(k):
             value = f(ctx, z)
             assert np.shape(value) == z.shape and np.result_type(value) == np.complex128, f
         assert f(ctx, plane).tobytes() == f(ctx, plane.ravel()).tobytes(), f
-        one = f(ctx, point.reshape(1))[0]
-        assert abs(f(ctx, point) - one) <= _ROUNDING * max(1.0, abs(one)), f
+        assert f(ctx, point).tobytes() == f(ctx, point.reshape(1)).tobytes(), f
+
+
+@pytest.mark.parametrize("k", (1e-3, 0.3, 0.99))
+def test_0d_arrays_follow_the_array_rules(k):
+    """A 0-d z gives a 0-d ndarray, bitwise the entry of the one-entry array.
+
+    That holds at a regular point and where a number raises: the lattice
+    point (d is 1, s^2 is 0, the substitution degenerates), a pole of d
+    and the half-periods, where the array rules give nan, with no warning.
+    """
+    ctx = ShenContext.from_modulus(k)
+    big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
+    pole, regular = (2.0 / 3.0) * 1j * big_kp, 0.2 * big_k + 0.3j * big_kp
+    functions = (*_SAMPLE_FUNCTIONS, cubic_relation_residual, d_ode_residual,
+                 substitution_chain_check, duplication_check, reduce_to_cell)
+    for z in (0j, pole, complex(big_k), 1j * big_kp, big_k + 1j * big_kp, regular):
+        for f in functions:
+            value = f(ctx, np.array(z))
+            assert type(value) is np.ndarray and value.shape == (), (f, z)
+            assert value.tobytes() == f(ctx, np.array([z])).tobytes(), (f, z)
+    assert d_complex(ctx, np.array(0j)) == 1.0 and s_squared(ctx, np.array(0j)) == 0.0
+    assert np.isnan(d_complex(ctx, np.array(pole)))
+    assert np.isnan(substitution_chain_check(ctx, np.array(0j)))
+    assert np.isnan(duplication_check(ctx, np.array(big_k)))
 
 
 @pytest.mark.parametrize("huge", [1e16, 1e17, 1e300])

@@ -22,7 +22,11 @@ change of ``max_residual``. The sections are
   first 5 moduli and u(1.0651558848623712) at k = 0.998317992620744, a
   point where the integral is sensitive to the order of its sums, for
   ``u_of_phi``; the three half-periods at the first 5 moduli for
-  ``duplication_check``.
+  ``duplication_check``;
+* ``constants``: what a context derives from k, at the 41 moduli (both
+  lattice orientations): the ``repr`` of ``lattice_of_invariants``, the
+  Q roots, and ``q_with_prime`` and ``reduce_to_cell`` at 7 fixed points
+  of the cell and beyond it, as numbers and as one 1-D array.
 
 A value is written as its repr, an exception as its type name, so a
 section hashes the same exactly when every double and every error does.
@@ -46,6 +50,10 @@ MODULI = list(dict.fromkeys(CERTIFY_MODULI + [float(k) for k in np.geomspace(1e-
 SAMPLE_MODULI = (0.05, 0.3, 0.7, 0.99)
 SAMPLE_FUNCTIONS = ("d", "s2", "c2", "sc", "wp")
 POINTS = 100
+# (x, y) of the points x K + i y K' of the constants section: the cell, a
+# lattice point, a pole of d, a corner and a point two periods out
+CELL_POINTS = ((0.3, 0.4), (-0.7, 0.1), (0.9, -0.8), (0.0, 0.0), (0.0, 2.0 / 3.0), (1.0, 1.0),
+               (3.3, 2.7))
 
 
 def _value(call):
@@ -101,6 +109,23 @@ def _number_paths(sh):
             for name, rows in lines.items()}
 
 
+def _constants(sh):
+    def listed(value):  # arrays as lists, so that repr shows every digit
+        return tuple(map(listed, value)) if isinstance(value, tuple) else value.tolist()
+
+    lines = []
+    for k in MODULI:
+        lat = sh.lattice_of_invariants(sh.invariants_of_modulus(k))
+        ctx = sh.ShenContext.from_modulus(k)
+        zs = [complex(x * ctx.lat.K, y * ctx.lat.K_prime) for x, y in CELL_POINTS]
+        lines.append(f"{k!r} {lat!r} {ctx.q_roots!r}\n")
+        for f in (sh.q_with_prime, sh.reduce_to_cell):
+            numbers = [_value(lambda: f(ctx, z)) for z in zs]
+            array = _value(lambda: listed(f(ctx, np.array(zs))))
+            lines.append(f"{k!r} {f.__name__} {' '.join(numbers)} {array}\n")
+    return "".join(lines)
+
+
 def sections(src):
     """Section name -> output text, from the ``shenell`` under the directory ``src``."""
     path = str(Path(src).resolve())
@@ -111,7 +136,8 @@ def sections(src):
         import shenell as sh
         from shenell import cli
 
-        return {"sample": _sample(sh, cli), "verify": _verify(sh, cli), **_number_paths(sh)}
+        return {"sample": _sample(sh, cli), "verify": _verify(sh, cli), **_number_paths(sh),
+                "constants": _constants(sh)}
     finally:
         sys.path.remove(path)
 
