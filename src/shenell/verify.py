@@ -9,11 +9,11 @@ arrays and passed to the public functions of :mod:`shenell.field` and
 is evaluated once per sample: a suite that draws its samples by
 rejection keeps the kernel values its acceptance test computed, and
 hands them to the field functions in place of the points. Every suite
-has a pinned default tolerance, set by the accuracy scale of its
-identity (derivatives and period shifts near poles, slope fits, exact
-arithmetic), 1e-9 where none sets it; an explicit tolerance always wins.
-A nan residual fails: every suite takes its worst residual with a
-maximum that propagates nan.
+has a pinned default tolerance: the accuracy scale of its identity where
+it has one (derivatives and period shifts near poles, slope fits, exact
+arithmetic), else 1e-9. An explicit tolerance always wins. A nan
+residual fails: every suite takes its worst residual with a maximum
+that propagates nan.
 
 Three suites check only constants and rounding, with no independent
 route: ``cubic-relation`` (s^2 is that relation solved), the complex half

@@ -32,7 +32,7 @@ Modulus = float
 #: Radius around lattice points inside which wp refuses to evaluate.
 POLE_EXCLUSION = 1e-8
 
-# the operands of the array kernel that no context changes, typed as _KernelConstants
+# the operands of the array kernel that no context changes, typed as _KernelConstants.typed
 # explains: the 1 and 2 of x = 2q (1 - 2 sin^2 v), and the pole radius
 _ONE, _TWO = np.array(1.0, dtype=np.complex128), np.array(2.0, dtype=np.complex128)
 _POLE_EXCLUSION = np.array(POLE_EXCLUSION, dtype=np.float64)
@@ -236,16 +236,16 @@ class _KernelConstants:
         loop runs, so every value is bitwise what the Python number gives.
         ``reach`` stays a number: it meets a numpy scalar, not an array.
         """
-        def complex128(*values):
-            return tuple(np.array(value, dtype=np.complex128) for value in values)
+        def typed(value, dtype=np.complex128):
+            return np.array(value, dtype)
 
         arrays = object.__new__(_KernelConstants)
-        arrays.scale, arrays.two_q, arrays.c2, arrays.c3 = complex128(
-            self.scale, self.two_q, self.c2, self.c3)
+        arrays.scale, arrays.two_q, arrays.c2, arrays.c3 = map(
+            typed, (self.scale, self.two_q, self.c2, self.c3))
         arrays.theta3, arrays.theta1, arrays.root = (
-            complex128(*self.theta3), complex128(*self.theta1), complex128(*self.root))
-        arrays.two_k, arrays.two_k_prime = (np.array(self.two_k, dtype=np.float64),
-                                            np.array(self.two_k_prime, dtype=np.float64))
+            tuple(map(typed, values)) for values in (self.theta3, self.theta1, self.root))
+        arrays.two_k, arrays.two_k_prime = (typed(self.two_k, np.float64),
+                                            typed(self.two_k_prime, np.float64))
         arrays.reach = self.reach
         return arrays
 
