@@ -236,16 +236,16 @@ class _KernelConstants:
         loop runs, so every value is bitwise what the Python number gives.
         ``reach`` stays a number: it meets a numpy scalar, not an array.
         """
-        def typed(value, dtype=np.complex128):
+        def array(value, dtype=np.complex128):
             return np.array(value, dtype)
 
         arrays = object.__new__(_KernelConstants)
         arrays.scale, arrays.two_q, arrays.c2, arrays.c3 = map(
-            typed, (self.scale, self.two_q, self.c2, self.c3))
+            array, (self.scale, self.two_q, self.c2, self.c3))
         arrays.theta3, arrays.theta1, arrays.root = (
-            tuple(map(typed, values)) for values in (self.theta3, self.theta1, self.root))
-        arrays.two_k, arrays.two_k_prime = (typed(self.two_k, np.float64),
-                                            typed(self.two_k_prime, np.float64))
+            tuple(map(array, values)) for values in (self.theta3, self.theta1, self.root))
+        arrays.two_k, arrays.two_k_prime = (array(self.two_k, np.float64),
+                                            array(self.two_k_prime, np.float64))
         arrays.reach = self.reach
         return arrays
 

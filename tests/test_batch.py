@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from shenell import (D_POLE_TOL, DomainError, PoleError, ShenContext, c_squared,
                      cubic_relation_residual, d_complex, d_ode_residual, duplication_check,
                      phi_of_u, q_with_prime, reduce_to_cell, s_squared, sc_product, scd_real,
-                     substitution_chain_check, wp, wp_with_prime)
+                     substitution_chain_check, wp, wp_prime, wp_with_prime)
 from shenell.cli import MAX_GRID_POINTS, UsageError, build_sample_grid
 from helpers import wp_oracle_factory
 
@@ -345,7 +345,7 @@ def test_0d_arrays_follow_the_array_rules(k):
     ctx = ShenContext.from_modulus(k)
     big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
     pole, regular = (2.0 / 3.0) * 1j * big_kp, 0.2 * big_k + 0.3j * big_kp
-    functions = (*_SAMPLE_FUNCTIONS, cubic_relation_residual, d_ode_residual,
+    functions = (*_SAMPLE_FUNCTIONS, wp_prime, cubic_relation_residual, d_ode_residual,
                  substitution_chain_check, duplication_check, reduce_to_cell)
     for z in (0j, pole, complex(big_k), 1j * big_kp, big_k + 1j * big_kp, regular):
         for f in functions:
