@@ -13,14 +13,14 @@ from .exceptions import (ClassificationError, ConvergenceError, DegenerateError,
 from .field import (D_POLE_TOL, c_squared, cubic_relation_residual, d_complex,
                     d_ode_residual, pole_order_slope, s_squared, sc_product,
                     substitution_chain_check)
-from .hypergeometric import SeriesConfig, f_closed, f_series, triplication_residual
+from .hypergeometric import f_closed, f_series, triplication_residual
 from .phase import (Modulus, ScdTriple, derivative_residuals, phase_speed,
                     phi_of_u, scd_real, u_max, u_of_phi)
 from .poles import (DiscriminantPair, RationalPoly, RootClassification,
                     certify_pole, classify_quartic_roots, cubic_discriminant,
                     cubic_factor, factorization_check, invariants_exact,
                     quartic_f)
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
 from .verify import (SUITES, VerificationReport, available_suites,
                      default_tolerance, run_suite, run_suites)
 from .weierstrass import (POLE_EXCLUSION, Invariants, Lattice, ShenContext,
@@ -33,8 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassificationError", "ConvergenceError", "DegenerateError", "DomainError",
     "PoleError", "RangeError", "ShenError",
-    "SeriesConfig", "f_closed", "f_series", "triplication_residual",
-    "QuadratureConfig", "integrate",
+    "f_closed", "f_series", "triplication_residual", "integrate",
     "Modulus", "ScdTriple", "derivative_residuals", "phase_speed", "phi_of_u",
     "scd_real", "u_max", "u_of_phi",
     "POLE_EXCLUSION", "Invariants", "Lattice", "ShenContext", "duplication_check",

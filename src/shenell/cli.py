@@ -11,7 +11,9 @@ Grid specs are ``start:step:stop`` (inclusive) or a single number; specs
 with a negative start need the ``--real=-1:0.5:1`` form so the shell
 parser does not read them as flags. Numeric output uses the shortest
 representation that round-trips a double, so re-emitting parsed output
-reproduces it byte for byte.
+reproduces it byte for byte. ``verify --json`` writes a residual that
+is not finite as null, which reads back as nan, so its output is strict
+JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error:
 the library checks every input, and main maps its errors to 2.
@@ -206,7 +208,7 @@ def reports_to_json(reports) -> str:
             "identity": r.identity_name,
             "k": r.k,
             "samples": r.samples,
-            "max_residual": r.max_residual,
+            "max_residual": r.max_residual if math.isfinite(r.max_residual) else None,
             "tolerance": r.tolerance,
             "passed": r.passed,
         }
@@ -219,7 +221,8 @@ def reports_from_json(text: str):
     return [
         VerificationReport(identity_name=item["identity"], k=item["k"],
                            samples=item["samples"],
-                           max_residual=item["max_residual"],
+                           max_residual=math.nan if item["max_residual"] is None
+                           else item["max_residual"],
                            tolerance=item["tolerance"], passed=item["passed"])
         for item in json.loads(text)
     ]

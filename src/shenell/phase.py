@@ -32,6 +32,9 @@ from .weierstrass import POLE_EXCLUSION, Modulus, ShenContext, _check_modulus, q
 
 _HALF_PI = math.pi / 2.0
 
+# step of the central differences of ``derivative_residuals``
+_STEP = 1e-5
+
 # (sin, cos, asin, sqrt) for a number and for an ndarray
 _MATH = (math.sin, math.cos, math.asin, math.sqrt)
 _NUMPY = (np.sin, np.cos, np.arcsin, np.sqrt)
@@ -52,19 +55,24 @@ def phase_speed(k: Modulus, phi):
     Other phi are reduced to [-pi/2, pi/2]: a number with
     ``math.remainder``, an array as phi - pi round(phi / pi), which is
     exact on that branch. Raises DomainError unless 0 < k < 1, where
-    k |sin phi| >= 1, and for a non-finite entry of an array, which is
-    refused whole.
+    k |sin phi| >= 1, and for a phi that is not finite; an array with such
+    an entry is refused whole. A 0-d array runs as the one-entry array.
     """
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus out of range (0, 1): k={k!r}")
     array = isinstance(phi, np.ndarray)
     if array:
+        if not phi.ndim:  # numpy gives scalars, not arrays, for 0-d operands
+            return phase_speed(k, phi.reshape(1)).reshape(())
         if not np.isfinite(phi).all():
             raise DomainError("phi holds an entry that is not finite")
         phi = np.abs(phi - math.pi * np.rint(phi / math.pi))  # half to even, as np.round
         sin, cos, asin, sqrt = _NUMPY
     else:
-        phi = abs(math.remainder(phi, math.pi))
+        try:
+            phi = abs(math.remainder(phi, math.pi))
+        except ValueError:  # phi is infinite
+            raise DomainError(f"phi must be finite, got {phi!r}") from None
         sin, cos, asin, sqrt = _MATH
     s = sin(phi)
     c = cos(phi)
@@ -86,9 +94,12 @@ def u_of_phi(k: Modulus, phi):
     its integrals in one engine call, each level of panels in one array
     call of ``phase_speed``; it is refused whole (DomainError) if an entry
     is nan or off the branch, and raises ConvergenceError if one stalls.
+    A 0-d array runs as the one-entry array.
     """
     _check_modulus(k)
     array = isinstance(phi, np.ndarray)
+    if array and not phi.ndim:  # numpy gives scalars, not arrays, for 0-d operands
+        return u_of_phi(k, phi.reshape(1)).reshape(())
     phis = phi if array else np.array([phi], dtype=float)
     size = np.abs(phis)
     if not (size <= _HALF_PI).all():  # also rejects nan
@@ -127,12 +138,15 @@ def phi_of_u(k: Modulus, u):
     phi = pi/2. Below POLE_EXCLUSION, where wp refuses to evaluate,
     phi = u, since the next term (4/27) k^2 u^3 is below an ulp.
 
-    ``u`` is a number or an ndarray, whose entries follow the same rules.
+    ``u`` is a number or an ndarray, whose entries follow the same rules;
+    a 0-d array runs as the one-entry array.
     Raises RangeError when |u| exceeds u_max(k) = K, or is nan; an array
     with such an entry is refused whole.
     """
     ctx = ShenContext.from_modulus(k)
     if isinstance(u, np.ndarray):
+        if not u.ndim:  # numpy gives scalars, not arrays, for 0-d operands
+            return phi_of_u(k, u.reshape(1)).reshape(())
         size = np.abs(u)
         if not (size <= ctx.lat.K).all():  # also rejects nan
             raise RangeError(f"u holds an entry outside the invertible range "
@@ -158,25 +172,26 @@ def scd_real(k: Modulus, u) -> ScdTriple:
     d comes from the reciprocal of the phase speed, so d is in (0, 1]
     and s^2 + c^2 = 1 holds to machine precision by construction. ``u``
     is a number or an ndarray, as in ``phi_of_u``; for an array each field
-    is an array.
+    is an array, and a 0-d array runs as the one-entry array.
     """
     phi = phi_of_u(k, u)
-    sin, cos, _, _ = _NUMPY if isinstance(phi, np.ndarray) else _MATH
-    return ScdTriple(sin(phi), cos(phi), 1.0 / phase_speed(k, phi))
+    if not isinstance(phi, np.ndarray):
+        return ScdTriple(math.sin(phi), math.cos(phi), 1.0 / phase_speed(k, phi))
+    if not phi.ndim:  # numpy gives scalars, not arrays, for 0-d operands
+        return ScdTriple(*(field.reshape(()) for field in scd_real(k, u.reshape(1))))
+    return ScdTriple(np.sin(phi), np.cos(phi), 1.0 / phase_speed(k, phi))
 
 
-def derivative_residuals(k: Modulus, u: float, h: float = 1e-5):
+def derivative_residuals(k: Modulus, u: float):
     """Central-difference deviations from s' = c d, c' = -s d and
-    d' = -(8/3) k^2 s c / (2 + d).
+    d' = -(8/3) k^2 s c / (2 + d), with step h = 1e-5.
 
     Returns (rs, rc, rd); each is O(h^2) wherever u +- h stays in range.
     """
-    if h <= 0.0:
-        raise DomainError("step h must be positive")
-    sp, cp, dp = scd_real(k, u + h)
-    sm, cm, dm = scd_real(k, u - h)
+    sp, cp, dp = scd_real(k, u + _STEP)
+    sm, cm, dm = scd_real(k, u - _STEP)
     s, c, d = scd_real(k, u)
-    rs = abs((sp - sm) / (2.0 * h) - c * d)
-    rc = abs((cp - cm) / (2.0 * h) + s * d)
-    rd = abs((dp - dm) / (2.0 * h) + (8.0 / 3.0) * k * k * s * c / (2.0 + d))
+    rs = abs((sp - sm) / (2.0 * _STEP) - c * d)
+    rc = abs((cp - cm) / (2.0 * _STEP) + s * d)
+    rd = abs((dp - dm) / (2.0 * _STEP) + (8.0 / 3.0) * k * k * s * c / (2.0 + d))
     return rs, rc, rd

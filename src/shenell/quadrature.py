@@ -3,10 +3,12 @@
 One engine integrates many intervals at once: it refines the panels of
 all of them a level at a time, and evaluates each level's nodes in one
 call of a vectorised integrand. ``integrate`` is that engine on one
-interval, with a scalar integrand mapped over the node array.
+interval, with a scalar integrand mapped over the node array. Both aim
+at an absolute error of 1e-13 within 30 levels of bisection; these are
+fixed, like the panel budget.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -14,6 +16,11 @@ from .exceptions import ConvergenceError, DomainError
 
 # 15-point Gauss-Legendre rule on [-1, 1]; exact through degree 29.
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+# Each integral aims at this absolute error, shared out over its panels by
+# length, and gives up after this many levels of bisection.
+_ABS_TOL = 1e-13
+_MAX_REFINEMENTS = 30
 
 # Refinement stops once the split estimate falls below this multiple of
 # the local magnitude; prevents infinite descent on boundary layers.
@@ -25,23 +32,6 @@ _REL_FLOOR = 3e-15
 _MAX_PANELS = 2 ** 14
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance and refinement budget for the adaptive integrator."""
-
-    abs_tol: float = 1e-13
-    max_refinements: int = 30
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if self.max_refinements < 1:
-            raise DomainError("max_refinements must be at least 1")
-
-
-_DEFAULT = QuadratureConfig()
-
-
 def _panels(f, lo, hi):
     # the 15-point rule on every [lo, hi], all nodes in one call of f; the
     # weighted sum runs in node order, as a Python sum would
@@ -51,18 +41,18 @@ def _panels(f, lo, hi):
     return h * np.cumsum(values, axis=1)[:, -1]
 
 
-def _integrate_all(f, a, b, cfg: QuadratureConfig = _DEFAULT) -> np.ndarray:
+def _integrate_all(f, a, b) -> np.ndarray:
     """The integral of ``f`` over each interval [a[i], b[i]] of the 1-D arrays ``a``, ``b``.
 
     ``f`` maps a 1-D array of nodes to the array of its values. Each
     panel is bisected until the 15-point rule agrees with its own
     two-panel refinement: the split is kept when |left + right - coarse|
-    <= max(abs_tol |hi - lo| / |b - a|, 3e-15 (|left| + |right|)). The
+    <= max(1e-13 |hi - lo| / |b - a|, 3e-15 (|left| + |right|)). The
     panels of every interval that are not kept are bisected together at
     the next level, and each integral is summed back over its own tree
-    of panels. Raises ConvergenceError if ``cfg.max_refinements`` levels
-    do not suffice, or if the panels would exceed a fixed budget per
-    interval. Empty intervals give 0.
+    of panels. Raises ConvergenceError if 30 levels do not suffice, or
+    if the panels would exceed a fixed budget per interval. Empty
+    intervals give 0.
     """
     live = np.flatnonzero(a != b)
     lo, hi = a[live], b[live]
@@ -74,24 +64,24 @@ def _integrate_all(f, a, b, cfg: QuadratureConfig = _DEFAULT) -> np.ndarray:
     # (value of each panel of a level, mask of the split ones); the children
     # of the split panels of one level make up the next, in order
     levels = []
-    for depth in range(1, cfg.max_refinements + 1):
+    for depth in range(1, _MAX_REFINEMENTS + 1):
         spent += 2 * lo.size
         if spent > budget:
             raise ConvergenceError(f"quadrature needs more than {_MAX_PANELS} panels "
-                                   f"per interval (abs_tol={cfg.abs_tol})")
+                                   f"per interval (abs_tol={_ABS_TOL})")
         mid = 0.5 * (lo + hi)
         halves = _panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         left, right = halves[:lo.size], halves[lo.size:]
         est = np.abs(left + right - coarse)
-        split = ~(est <= np.maximum(cfg.abs_tol * np.abs(hi - lo) / length,
+        split = ~(est <= np.maximum(_ABS_TOL * np.abs(hi - lo) / length,
                                     _REL_FLOOR * (np.abs(left) + np.abs(right))))
         levels.append((left + right, split))
         if not split.any():
             break
-        if depth == cfg.max_refinements:
+        if depth == _MAX_REFINEMENTS:
             raise ConvergenceError(
                 f"quadrature stalled at error ~{est[split].max():.3e} after "
-                f"{cfg.max_refinements} refinement levels (abs_tol={cfg.abs_tol})")
+                f"{_MAX_REFINEMENTS} refinement levels (abs_tol={_ABS_TOL})")
         lo = np.column_stack([lo[split], mid[split]]).ravel()
         hi = np.column_stack([mid[split], hi[split]]).ravel()
         coarse = np.column_stack([left[split], right[split]]).ravel()
@@ -105,16 +95,19 @@ def _integrate_all(f, a, b, cfg: QuadratureConfig = _DEFAULT) -> np.ndarray:
     return result
 
 
-def integrate(f, a, b, cfg: QuadratureConfig = _DEFAULT) -> float:
-    """Integrate ``f`` over ``[a, b]`` to roughly ``cfg.abs_tol``.
+def integrate(f, a, b) -> float:
+    """Integrate ``f`` over ``[a, b]`` to roughly 1e-13 absolute error.
 
     ``f`` takes and returns a number. It is mapped over the nodes of the
     array engine, whose refinement rule and errors apply: a panel is
     bisected until the 15-point rule agrees with its own two-panel
     refinement, the tolerance being distributed by subinterval length.
-    Raises ConvergenceError if ``cfg.max_refinements`` levels of
-    bisection do not suffice, or past a fixed panel budget.
+    Raises DomainError unless both ends are finite, and ConvergenceError
+    if 30 levels of bisection do not suffice, or past a fixed panel
+    budget.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     values = _integrate_all(lambda x: np.array([f(t) for t in x.tolist()]),
-                            np.array([a], dtype=float), np.array([b], dtype=float), cfg)
+                            np.array([a], dtype=float), np.array([b], dtype=float))
     return values[0].item()

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from shenell import (D_POLE_TOL, DomainError, PoleError, ShenContext, c_squared,
                      cubic_relation_residual, d_complex, d_ode_residual, duplication_check,
-                     phi_of_u, q_with_prime, reduce_to_cell, s_squared, sc_product, scd_real,
-                     substitution_chain_check, wp, wp_prime, wp_with_prime)
+                     phase_speed, phi_of_u, q_with_prime, reduce_to_cell, s_squared,
+                     sc_product, scd_real, substitution_chain_check, u_of_phi, wp, wp_prime,
+                     wp_with_prime)
 from shenell.cli import MAX_GRID_POINTS, UsageError, build_sample_grid
 from helpers import wp_oracle_factory
 
@@ -341,6 +342,9 @@ def test_0d_arrays_follow_the_array_rules(k):
     That holds at a regular point and where a number raises: the lattice
     point (d is 1, s^2 is 0, the substitution degenerates), a pole of d
     and the half-periods, where the array rules give nan, with no warning.
+    The phase functions of u and phi follow the same rule, each field of
+    ``scd_real`` too, at u = 0 (where the number path of wp raises), inside
+    the pole exclusion, at +-K and at regular points.
     """
     ctx = ShenContext.from_modulus(k)
     big_k, big_kp = ctx.lat.K, ctx.lat.K_prime
@@ -356,6 +360,15 @@ def test_0d_arrays_follow_the_array_rules(k):
     assert np.isnan(d_complex(ctx, np.array(pole)))
     assert np.isnan(substitution_chain_check(ctx, np.array(0j)))
     assert np.isnan(duplication_check(ctx, np.array(big_k)))
+    phase = [(phi_of_u, u) for u in (0.0, 1e-9, 0.3 * big_k, -0.7 * big_k, big_k)]
+    phase += [(phase_speed, phi) for phi in (0.0, 0.4, 2.5, -7.0)]
+    phase += [(u_of_phi, phi) for phi in (0.0, 0.4, -math.pi / 2.0)]
+    for f, x in phase + [(scd_real, u) for _, u in phase[:5]]:
+        value, entry = f(k, np.array(x)), f(k, np.array([x]))
+        for field, entry_field in zip(value, entry) if f is scd_real else [(value, entry)]:
+            assert type(field) is np.ndarray and field.shape == (), (f, x)
+            assert field.tobytes() == entry_field.tobytes(), (f, x)
+    assert phi_of_u(k, np.array(0.0)) == 0.0 and u_of_phi(k, np.array(0.0)) == 0.0
 
 
 @pytest.mark.parametrize("huge", [1e16, 1e17, 1e300])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -120,6 +121,24 @@ def test_verify_json_round_trip(tmp_path):
     assert result.returncode == 0
     text = out.read_text()
     assert reports_to_json(reports_from_json(text)) == text
+
+
+def test_verify_json_is_strict_for_a_nan_residual(tmp_path):
+    # the pole-order residual is nan at k = 1e-50: it is written as null,
+    # which a parser that refuses NaN and Infinity reads, and reads back as nan
+    out = tmp_path / "reports.json"
+    result = run_cli("verify", "--k", "1e-50", "--suite", "pole-order", "--json",
+                     "--out", str(out))
+    assert result.returncode == 1
+    text = out.read_text()
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert json.loads(text, parse_constant=refuse)[0]["max_residual"] is None
+    (report,) = reports_from_json(text)
+    assert math.isnan(report.max_residual) and not report.passed
+    assert reports_to_json([report]) == text
 
 
 # ---------------------------------------------------------------------- sample

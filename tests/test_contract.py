@@ -8,7 +8,12 @@ private name or reads one off a module. The demos run as tests too.
 import ast
 import importlib
 import inspect
+import math
+import warnings
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import shenell
 
@@ -110,3 +115,39 @@ def test_every_suite_runner_takes_the_context():
     params = {name: list(inspect.signature(runner).parameters)
               for name, (runner, _) in shenell.SUITES.items()}
     assert params == {name: ["ctx"] for name in shenell.SUITES}
+
+
+def test_no_public_function_takes_a_setting():
+    # tolerances, budgets and steps are fixed in the modules; only the
+    # suite runners take the tolerance that the CLI's --tol sets
+    settings = {}
+    for name in shenell.__all__:
+        obj = getattr(shenell, name)
+        if inspect.isfunction(obj):
+            defaults = [p.name for p in inspect.signature(obj).parameters.values()
+                        if p.default is not inspect.Parameter.empty]
+            if defaults:
+                settings[name] = defaults
+    assert settings == {"run_suite": ["tol"], "run_suites": ["tol"]}
+    assert [name for name in shenell.__all__ if name.endswith("Config")] == []
+
+
+@pytest.mark.parametrize("f, args", [
+    (shenell.phase_speed, (0.3, math.inf)),
+    (shenell.phase_speed, (0.3, -math.inf)),
+    (shenell.phase_speed, (0.3, math.nan)),
+    (shenell.f_series, (math.nan,)),
+    (shenell.f_series, (np.longdouble(math.nan),)),
+    (shenell.f_closed, (math.nan,)),
+    (shenell.integrate, (math.sin, 0.0, math.nan)),
+    (shenell.integrate, (math.sin, 0.0, math.inf)),
+    (shenell.integrate, (math.sin, -math.inf, 0.0)),
+], ids=["phase_speed-inf", "phase_speed-minus-inf", "phase_speed-nan", "f_series-nan",
+        "f_series-longdouble-nan", "f_closed-nan", "integrate-to-nan", "integrate-to-inf",
+        "integrate-from-minus-inf"])
+def test_non_finite_numbers_raise_domain_error(f, args):
+    # refused up front, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(shenell.DomainError):
+            f(*args)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shenell import (ConvergenceError, DomainError, SeriesConfig, f_closed,
-                     f_series, triplication_residual)
+from shenell import DomainError, f_closed, f_series, triplication_residual
 from helpers import hyp_oracle
 
 GOLDEN = (1.0 + math.sqrt(3.0)) / 2.0  # cos(pi/12) / cos(pi/4)
@@ -90,18 +89,6 @@ def test_domain_errors():
         f_closed(math.pi / 2.0)
     with pytest.raises(DomainError):
         f_closed(-2.0)
-
-
-def test_non_convergence_error():
-    with pytest.raises(ConvergenceError):
-        f_series(0.9, SeriesConfig(tol=1e-15, max_terms=5))
-
-
-def test_series_config_validation():
-    with pytest.raises(DomainError):
-        SeriesConfig(tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesConfig(max_terms=0)
 
 
 def test_delegation_region_still_accurate():

@@ -173,20 +173,15 @@ def test_scd_relations(k):
 
 
 def test_derivative_residuals_at_origin():
-    h = 1e-5
-    rs, rc, rd = derivative_residuals(0.5, 0.0, h)
-    assert rs < h * h
-    assert rd < h * h
+    # below the square of the fixed step h = 1e-5
+    rs, rc, rd = derivative_residuals(0.5, 0.0)
+    assert rs < 1e-10
+    assert rd < 1e-10
 
 
 def test_derivative_residuals_generic_point():
-    rs, rc, rd = derivative_residuals(0.7, 0.3, 1e-5)
+    rs, rc, rd = derivative_residuals(0.7, 0.3)
     assert max(rs, rc, rd) < 1e-8
-
-
-def test_derivative_residuals_reject_bad_step():
-    with pytest.raises(DomainError):
-        derivative_residuals(0.5, 0.1, h=0.0)
 
 
 def test_real_ode_residual():

@@ -26,7 +26,13 @@ change of ``max_residual``. The sections are
 * ``constants``: what a context derives from k, at the 41 moduli (both
   lattice orientations): the ``repr`` of ``lattice_of_invariants``, the
   Q roots, and ``q_with_prime`` and ``reduce_to_cell`` at 7 fixed points
-  of the cell and beyond it, as numbers and as one 1-D array.
+  of the cell and beyond it, as numbers and as one 1-D array;
+* ``fixed_settings``: the functions that run at a fixed tolerance, budget
+  or step, at 40 seeded points each: ``f_series`` on [0, 1) (as double
+  and as long double), ``f_closed`` on (-pi/2, pi/2), ``integrate`` of
+  three integrands over seeded intervals, and ``derivative_residuals``
+  at k drawn from the 41 moduli; plus the edges: the series cutoff
+  0.98, the integrand that stalls the quadrature, and nan and inf.
 
 A value is written as its repr, an exception as its type name, so a
 section hashes the same exactly when every double and every error does.
@@ -126,6 +132,40 @@ def _constants(sh):
     return "".join(lines)
 
 
+# (name, integrand) pairs of the fixed_settings section: smooth, oscillating
+# and peaked; the last stalls at the level cap
+INTEGRANDS = (("sin", math.sin), ("exp_cos", lambda x: math.exp(-x * x) * math.cos(3.0 * x)),
+              ("peak", lambda x: 1.0 / math.sqrt(x * x + 1e-8)),
+              ("cusp", lambda x: 1.0 / math.sqrt(abs(x) + 1e-14)))
+
+
+def _fixed_settings(sh):
+    rng = np.random.default_rng(20261021)
+    calls = []
+    for _ in range(40):
+        x = float(rng.uniform(0.0, 1.0))
+        z = float(rng.uniform(-1.0, 1.0)) * (math.pi / 2.0)
+        a, b = (float(t) for t in rng.uniform(-3.0, 3.0, 2))
+        name, f = INTEGRANDS[rng.integers(3)]
+        k = MODULI[rng.integers(len(MODULI))]
+        u = float(rng.uniform(-0.9, 0.9)) * sh.u_max(k)
+        calls += [("f_series", (x,)), ("f_series", (np.longdouble(x),)), ("f_closed", (z,)),
+                  ("integrate", (name, a, b)), ("derivative_residuals", (k, u))]
+    calls += [("f_series", (x,)) for x in (0.0, 0.98, 0.9800000000000001, math.nan)]
+    calls += [("f_closed", (z,)) for z in (0.0, -1.5, math.nan, math.inf)]
+    calls += [("integrate", ("cusp", -1.0, 1.0)), ("integrate", ("sin", 0.0, math.nan)),
+              ("integrate", ("sin", 0.0, math.inf))]
+    integrands = dict(INTEGRANDS)
+
+    def call(name, args):
+        if name == "integrate":
+            return sh.integrate(integrands[args[0]], *args[1:])
+        return getattr(sh, name)(*args)
+
+    return "".join(f"{name} {args!r} {_value(lambda: call(name, args))}\n"
+                   for name, args in calls)
+
+
 def sections(src):
     """Section name -> output text, from the ``shenell`` under the directory ``src``."""
     path = str(Path(src).resolve())
@@ -137,7 +177,7 @@ def sections(src):
         from shenell import cli
 
         return {"sample": _sample(sh, cli), "verify": _verify(sh, cli), **_number_paths(sh),
-                "constants": _constants(sh)}
+                "constants": _constants(sh), "fixed_settings": _fixed_settings(sh)}
     finally:
         sys.path.remove(path)
 
