@@ -1,20 +1,15 @@
 """The real phase map u(phi) and the functions s, c, d on the principal branch.
 
-u is the integral of F(1/3, 2/3; 1/2; k^2 t^2) / sqrt(1 - t^2) over
-t in [0, sin(phi)]; substituting t = sin(theta) removes the endpoint
-singularity and leaves the smooth integrand F(1/3, 2/3; 1/2;
-k^2 sin^2 theta) on [0, phi], which is also du/dphi. That integrand is
-evaluated in closed form (DLMF 15.4), F(1/3, 2/3; 1/2; sin^2 z) =
-cos(z/3) / cos(z), not by the power series, which needs hundreds of
-terms as k sin(theta) -> 1. The map inverts on [-pi/2, pi/2], and
+u(phi) is the integral of F(1/3, 2/3; 1/2; k^2 sin^2 theta) = du/dphi over
+theta in [0, phi] (t = sin(theta) in the defining integral), taken in
+closed form (DLMF 15.4) as cos(z/3) / cos(z), sin(z) = k sin(theta). The
+map inverts on [-pi/2, pi/2], and
 
     s(u) = sin(phi(u)),  c(u) = cos(phi(u)),  d(u) = phi'(u).
 
-The inverse needs no second engine: the real branch is the complex field
-of :mod:`shenell.field` restricted to the real axis, so the principal
-branch ends at u_max = K, the real half-period, and phi(u) is read off
-wp(u). The integral u(phi) stays as the one wp-free path, the witness
-the certification suites check the wp route against.
+The real branch is the complex field of :mod:`shenell.field` on the real
+axis, so it ends at u_max = K and phi(u) is read off wp(u). u(phi), on a
+fixed rule, is the one wp-free path: the certification suites' witness.
 
 Each function of phi or u takes a number or an ndarray in one body, as
 the field functions of z do; an array with an entry the number path
@@ -27,10 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, RangeError
-from .quadrature import _integrate_all
+from .quadrature import _panels
 from .weierstrass import POLE_EXCLUSION, Modulus, ShenContext, _check_modulus, q_with_prime
 
 _HALF_PI = math.pi / 2.0
+_QUARTER_PI = math.pi / 4.0
+_HALF_PI_LOW = 6.123233995736766e-17  # pi/2 - fl(pi/2)
 
 # step of the central differences of ``derivative_residuals``
 _STEP = 1e-5
@@ -43,20 +40,17 @@ _NUMPY = (np.sin, np.cos, np.arcsin, np.sqrt)
 def phase_speed(k: Modulus, phi):
     """du/dphi at ``phi``, i.e. F(1/3, 2/3; 1/2; k^2 sin^2 phi). Always >= 1.
 
-    With y = k |sin phi| and z = asin(y), F = cos(z/3) / cos(z) is taken as
+    With y = k |sin phi|, F = cos(asin(y) / 3) / cos(asin(y)) is taken as
 
-        cos(pi/6 - (2/3) asin(sqrt((1 - y) / 2))) / sqrt((1 - y)(1 + y)),
+        cos(pi/6 - (2/3) asin(sqrt((1 - y) / 2))) / sqrt((1 - y)(1 + y))
 
-    since asin(y) = pi/2 - 2 asin(sqrt((1 - y) / 2)). Both angle and
-    denominator come from 1 - y = (1 - k) + k cos^2 phi / (1 + |sin phi|),
-    which never subtracts nearly equal numbers, so the value keeps full
-    relative accuracy as k -> 1 and phi -> pi/2, and is exactly 1 at
-    phi = 0. Even and pi-periodic in ``phi``, a number or an ndarray.
-    Other phi are reduced to [-pi/2, pi/2]: a number with
-    ``math.remainder``, an array as phi - pi round(phi / pi), which is
-    exact on that branch. Raises DomainError unless 0 < k < 1, where
-    k |sin phi| >= 1, and for a phi that is not finite; an array with such
-    an entry is refused whole. A 0-d array runs as the one-entry array.
+    from 1 - y = (1 - k) + k cos^2 phi / (1 + |sin phi|), which subtracts no
+    nearly equal numbers: full relative accuracy as k -> 1 and phi -> pi/2,
+    and exactly 1 at phi = 0. Even and pi-periodic; a number phi is reduced
+    to [-pi/2, pi/2] by ``math.remainder``, an ndarray (exactly on that
+    branch) as phi - pi round(phi / pi), and a 0-d array runs as the
+    one-entry array. Raises DomainError unless 0 < k < 1, where
+    k |sin phi| >= 1, and for a non-finite phi, refusing an array whole.
     """
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus out of range (0, 1): k={k!r}")
@@ -69,32 +63,46 @@ def phase_speed(k: Modulus, phi):
         phi = np.abs(phi - math.pi * np.rint(phi / math.pi))  # half to even, as np.round
         sin, cos, asin, sqrt = _NUMPY
     else:
-        try:
-            phi = abs(math.remainder(phi, math.pi))
-        except ValueError:  # phi is infinite
-            raise DomainError(f"phi must be finite, got {phi!r}") from None
+        if not math.isfinite(phi):
+            raise DomainError(f"phi must be finite, got {phi!r}")
+        phi = abs(math.remainder(phi, math.pi))
         sin, cos, asin, sqrt = _MATH
-    s = sin(phi)
     c = cos(phi)
-    one_minus_y = (1.0 - k) + k * (c * c / (1.0 + s))
+    one_minus_y = (1.0 - k) + k * (c * c / (1.0 + sin(phi)))
     inside = one_minus_y > 0.0  # also rejects nan
     if not (inside.all() if array else inside):
         raise DomainError(f"k |sin phi| >= 1 at k={k!r}, phi={phi!r}")
+    return _speed_of(one_minus_y, cos, asin, sqrt)
+
+
+def _speed_of(one_minus_y, cos=np.cos, asin=np.arcsin, sqrt=np.sqrt):
+    # F(1/3, 2/3; 1/2; y^2) = cos(asin(y) / 3) / cos(asin(y)) from 1 - y > 0
     return (cos(math.pi / 6.0 - (2.0 / 3.0) * asin(sqrt(0.5 * one_minus_y)))
             / sqrt(one_minus_y * (2.0 - one_minus_y)))
+
+
+def _speed_at(k, t):
+    # phase_speed at theta = pi/2 - t, for an array t in [0, pi/4]
+    return _speed_of((1.0 - k) + k * (np.sin(t) ** 2 / (1.0 + np.cos(t))))
 
 
 def u_of_phi(k: Modulus, phi):
     """The phase integral u(phi) on the principal branch |phi| <= pi/2.
 
-    Odd and strictly increasing in ``phi``; u(0) = 0. The integrand is
-    even in theta, so the integral runs over [0, |phi|] and the sign is
-    restored afterwards, making oddness exact in floating point. A number
-    is the one-entry ndarray, returned as a float. An ndarray takes all
-    its integrals in one engine call, each level of panels in one array
-    call of ``phase_speed``; it is refused whole (DomainError) if an entry
-    is nan or off the branch, and raises ConvergenceError if one stalls.
-    A 0-d array runs as the one-entry array.
+    Odd and strictly increasing in ``phi``; u(0) = 0. The integral runs over
+    [0, |phi|] and takes the sign afterwards, so oddness is exact. The rule
+    is fixed, with bounded work at every k: one 15-point Gauss-Legendre
+    panel of ``phase_speed`` over theta in [0, min(|phi|, pi/4)]; above
+    pi/4, t = pi/2 - theta = a sinh(sigma) with a = sqrt(2 (1 - k) / k),
+    which moves F's branch point near t = +-i a to sigma = +-i pi/2, on
+    ceil(asinh(pi / (4 a)) / 2) <= 10 equal sigma-panels. |phi| = fl(pi/2)
+    is integrated up to that double, like any phi, so u(fl(pi/2)) =
+    K - (pi/2 - fl(pi/2)) phase_speed(k, pi/2), not K.
+
+    A number is the one-entry ndarray, returned as a float, and a 0-d array
+    runs as the one-entry array. Each entry of an ndarray is integrated on
+    its own nodes, so it is the number bitwise; an ndarray is refused whole
+    (DomainError) if an entry is nan or off the branch.
     """
     _check_modulus(k)
     array = isinstance(phi, np.ndarray)
@@ -106,7 +114,24 @@ def u_of_phi(k: Modulus, phi):
         raise DomainError("phi, or an entry of it, is outside the principal branch "
                           "[-pi/2, pi/2], or nan")
     flat = size.ravel()
-    values = _integrate_all(lambda theta: phase_speed(k, theta), np.zeros_like(flat), flat)
+    values = _panels(lambda theta: phase_speed(k, theta), np.zeros_like(flat),
+                     np.minimum(flat, _QUARTER_PI))
+    far = flat > _QUARTER_PI
+    if far.any():
+        a = math.sqrt(2.0 * (1.0 - k)) / math.sqrt(k)  # 2 (1 - k) / k overflows at tiny k
+        top = math.asinh(_QUARTER_PI / a)
+        n = math.ceil(top / 2.0)
+        gap = _HALF_PI - flat[far]  # exact (Sterbenz): pi/2 - |phi| = gap + _HALF_PI_LOW
+        low = np.arcsinh((gap + _HALF_PI_LOW) / a)
+        edges = low[:, None] + (top - low)[:, None] * (np.arange(n + 1) / n)
+        panels = _panels(lambda sigma: _speed_at(k, a * np.sinh(sigma)) * (a * np.cosh(sigma)),
+                         edges[:, :-1].ravel(), edges[:, 1:].ravel()).reshape(-1, n)
+        # an ulp of a large end sigma moves t by ~sigma ulp(t), so the slivers
+        # up to the true ends, pi/2 - |phi| and pi/2 - fl(pi/4), are added
+        rounded = a * np.sinh(edges[:, [0, -1]])
+        slivers = _speed_at(k, rounded) * np.column_stack(
+            [(rounded[:, 0] - gap) - _HALF_PI_LOW, (_QUARTER_PI - rounded[:, 1]) + _HALF_PI_LOW])
+        values[far] += np.cumsum(panels, axis=1)[:, -1] + (slivers[:, 0] + slivers[:, 1])
     values = np.copysign(values.reshape(phis.shape), phis)
     return values if array else values[0].item()
 

@@ -42,6 +42,26 @@ def u_oracle(k, phi):
     return value
 
 
+def u_mp_oracle(k, phi):
+    """The phase integral u(phi) at 40 digits, up to the double ``phi`` exactly.
+
+    mpmath's tanh-sinh rule over the closed form cos(z/3) / cos(z),
+    z = asin(k sin(theta)), split at pi/2 - a 10^j (j = 3 .. -3) with
+    a = sqrt(2 (1 - k) / k), the width of F's peak at pi/2 as k -> 1.
+    Returns an mpf.
+    """
+    with mp.workdps(40):
+        k, phi = mp.mpf(k), mp.mpf(phi)
+        a = mp.sqrt(2 * (1 - k) / k)
+
+        def speed(theta):
+            z = mp.asin(k * mp.sin(theta))
+            return mp.cos(z / 3) / mp.cos(z)
+
+        cuts = [mp.pi / 2 - a * mp.mpf(10) ** j for j in range(3, -4, -1)]
+        return +mp.quad(speed, [mp.mpf(0), *(c for c in cuts if 0 < c < phi), phi])
+
+
 def u_oracle_t_form(k, phi):
     """The same integral in its original t form, singular endpoint and all."""
     value, err = _quad(lambda t: hyp_oracle(k * k * t * t) / math.sqrt(1.0 - t * t),

@@ -80,6 +80,13 @@ def test_verify_pole_passes():
     assert result.stdout.startswith("PASS")
 
 
+def test_verify_passes_next_to_k_one():
+    result = run_cli("verify", "--k", "0.999999999")
+    assert result.returncode == 0, result.stdout
+    assert "Traceback" not in result.stderr
+    assert "FAIL" not in result.stdout
+
+
 def test_verify_unknown_suite_exit_2():
     result = run_cli("verify", "--k", "0.5", "--suite", "no-such")
     assert result.returncode == 2

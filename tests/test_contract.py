@@ -132,22 +132,22 @@ def test_no_public_function_takes_a_setting():
     assert [name for name in shenell.__all__ if name.endswith("Config")] == []
 
 
-@pytest.mark.parametrize("f, args", [
-    (shenell.phase_speed, (0.3, math.inf)),
-    (shenell.phase_speed, (0.3, -math.inf)),
-    (shenell.phase_speed, (0.3, math.nan)),
-    (shenell.f_series, (math.nan,)),
-    (shenell.f_series, (np.longdouble(math.nan),)),
-    (shenell.f_closed, (math.nan,)),
-    (shenell.integrate, (math.sin, 0.0, math.nan)),
-    (shenell.integrate, (math.sin, 0.0, math.inf)),
-    (shenell.integrate, (math.sin, -math.inf, 0.0)),
+@pytest.mark.parametrize("f, args, match", [
+    (shenell.phase_speed, (0.3, math.inf), "finite"),
+    (shenell.phase_speed, (0.3, -math.inf), "finite"),
+    (shenell.phase_speed, (0.3, math.nan), "finite"),
+    (shenell.f_series, (math.nan,), None),
+    (shenell.f_series, (np.longdouble(math.nan),), None),
+    (shenell.f_closed, (math.nan,), None),
+    (shenell.integrate, (math.sin, 0.0, math.nan), None),
+    (shenell.integrate, (math.sin, 0.0, math.inf), None),
+    (shenell.integrate, (math.sin, -math.inf, 0.0), None),
 ], ids=["phase_speed-inf", "phase_speed-minus-inf", "phase_speed-nan", "f_series-nan",
         "f_series-longdouble-nan", "f_closed-nan", "integrate-to-nan", "integrate-to-inf",
         "integrate-from-minus-inf"])
-def test_non_finite_numbers_raise_domain_error(f, args):
-    # refused up front, with no numpy warning
+def test_non_finite_numbers_raise_domain_error(f, args, match):
+    # refused up front, with no numpy warning; phi is named as not finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(shenell.DomainError):
+        with pytest.raises(shenell.DomainError, match=match):
             f(*args)

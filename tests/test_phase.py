@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shenell import (POLE_EXCLUSION, ConvergenceError, DomainError, RangeError,
-                     derivative_residuals, f_series, phase_speed, phi_of_u, scd_real, u_max,
-                     u_of_phi)
-from helpers import phi_oracle, u_oracle, u_oracle_t_form
+from shenell import (POLE_EXCLUSION, DomainError, RangeError, derivative_residuals, f_series,
+                     phase_speed, phi_of_u, scd_real, u_max, u_of_phi)
+from helpers import phi_oracle, u_mp_oracle, u_oracle, u_oracle_t_form
 
 # frozen from two independent scipy quadratures of the defining integral
 # (theta form and original t form agree to 1e-15)
@@ -286,20 +285,56 @@ def test_arrays_are_refused_whole():
         u_of_phi(1.5, np.array([0.3]))
 
 
-def test_array_phase_integral_stalls_where_the_number_one_does():
-    # near k = 1 the integrand of u(phi) is noisy near pi/2, and the
-    # quadrature raises ConvergenceError at some moduli; an array entry
-    # must reach the same verdict as the number, and the same value
-    stalled = 0
-    for one_minus_k in np.geomspace(1e-7, 1e-3, 200):
+def _relative_error(value, k, phi):
+    with mp.workdps(40):
+        return float(abs(mp.mpf(value) / u_mp_oracle(k, phi) - 1))
+
+
+def test_phase_integral_near_k_one_never_stalls():
+    # the fixed rule leaves nothing to stall: each of these pairs returns,
+    # a number is its one-entry array, and every 20th modulus meets the oracle
+    for i, one_minus_k in enumerate(np.geomspace(1e-7, 1e-3, 200)):
         k = 1.0 - float(one_minus_k)
         for phi in (math.pi / 2.0, 1.5, 1.2):
-            try:
-                number = u_of_phi(k, phi)
-            except ConvergenceError:
-                with pytest.raises(ConvergenceError):
-                    u_of_phi(k, np.array([phi]))
-                stalled += 1
-                continue
-            assert u_of_phi(k, np.array([phi]))[0] == pytest.approx(number, rel=1e-15, abs=0)
-    assert 0 < stalled < 600
+            number = u_of_phi(k, phi)
+            assert np.array(number).tobytes() == u_of_phi(k, np.array([phi])).tobytes()
+            if i % 20 == 0:
+                assert _relative_error(number, k, phi) <= 2e-15, (k, phi)
+
+
+HALF_PI = math.pi / 2.0
+
+# log-spaced in k up to 0.5 and in 1 - k down to 1e-12, and one ulp below 1
+CLOSED_END_MODULI = tuple(float(k) for k in np.concatenate(
+    [np.geomspace(1e-6, 0.5, 5), 1.0 - np.geomspace(0.5, 1e-12, 7)[1:], [1.0 - 2.0 ** -53]]))
+
+# both sides of pi/4, where the rule changes variable, and the branch end
+CLOSED_END_PHIS = (0.05, 0.5, math.pi / 4.0, math.nextafter(math.pi / 4.0, 2.0), 1.0, 1.3,
+                   1.5, 1.57, math.nextafter(HALF_PI, 0.0), HALF_PI)
+
+
+@pytest.mark.parametrize("k", CLOSED_END_MODULI)
+def test_phase_integral_meets_a_40_digit_oracle_up_to_the_branch_end(k):
+    values = u_of_phi(k, np.array(CLOSED_END_PHIS))
+    for phi, value in zip(CLOSED_END_PHIS, values):
+        assert _relative_error(value, k, phi) <= 2e-15, phi
+        # an entry of an array that mixes phi on both sides of pi/4 is the number
+        assert value.tobytes() == np.array(u_of_phi(k, phi)).tobytes(), phi
+    # fl(pi/2) is integrated up to that double, which lies pi/2 - fl(pi/2)
+    # below pi/2: u is K less that sliver of the phase speed at pi/2
+    with mp.workdps(40):
+        big_k = u_mp_oracle(k, mp.pi / 2)
+        below = big_k - (mp.pi / 2 - mp.mpf(HALF_PI)) * mp.mpf(phase_speed(k, HALF_PI))
+        assert float(abs(mp.mpf(values[-1]) / below - 1)) <= 2e-15
+        assert -u_of_phi(k, -HALF_PI) == values[-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-12.0, max_value=-0.3), st.booleans(),
+       st.floats(min_value=0.01, max_value=HALF_PI))
+def test_phase_integral_meets_a_40_digit_oracle_anywhere(exponent, near_one, phi):
+    # 1 - k log-uniform in [1e-12, 0.5], or k log-uniform in [1e-6, 0.7];
+    # tiny phi are left to test_u_linear_for_tiny_phi, since the oracle's
+    # own rule strays there (3.7e-14 at phi = 1e-100)
+    k = 1.0 - 10.0 ** exponent if near_one else 10.0 ** (exponent / 2.0)
+    assert _relative_error(u_of_phi(k, phi), k, phi) <= 2e-15

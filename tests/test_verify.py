@@ -131,6 +131,14 @@ def test_every_suite_passes_at_certify_moduli():
             assert report.samples == samples, report
 
 
+@pytest.mark.parametrize("one_minus_k", [2.6e-5, 1e-6, 1e-9, 1e-12, 2.0 ** -53])
+def test_every_suite_passes_at_the_closed_end(one_minus_k):
+    # the phase integral reaches pi/2 on a fixed rule however close k is to 1
+    reports = run_suites(available_suites(), [1.0 - one_minus_k])
+    failed = [r for r in reports if not r.passed]
+    assert not failed, failed
+
+
 def test_substitution_chain_at_small_modulus():
     # rounding of d reaches p = (4k^2/9)/(1 - d) - 1/3 multiplied by
     # (9/(4k^2)) |wp + 1/3|^2, so the complex half needs |1 - d| > 1e-3 k

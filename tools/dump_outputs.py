@@ -19,10 +19,11 @@ change of ``max_residual``. The sections are
 * one section per number path, ``scd_real``, ``phi_of_u``, ``u_of_phi``,
   ``wp_with_prime`` and ``duplication_check``, at 100 seeded points (k
   drawn from the 41 moduli) plus a few fixed ones: phi = +-0 at the
-  first 5 moduli and u(1.0651558848623712) at k = 0.998317992620744, a
-  point where the integral is sensitive to the order of its sums, for
-  ``u_of_phi``; the three half-periods at the first 5 moduli for
-  ``duplication_check``;
+  first 5 moduli, u(1.0651558848623712) at k = 0.998317992620744, a
+  point where the integral is sensitive to the order of its sums, and
+  phi = 1.2, 1.5 and fl(pi/2) at 1 - k = 1e-6, 1e-9 and 1e-12, next to
+  the closed end of the interval, for ``u_of_phi``; the three
+  half-periods at the first 5 moduli for ``duplication_check``;
 * ``constants``: what a context derives from k, at the 41 moduli (both
   lattice orientations): the ``repr`` of ``lattice_of_invariants``, the
   Q roots, and ``q_with_prime`` and ``reduce_to_cell`` at 7 fixed points
@@ -105,6 +106,9 @@ def _number_paths(sh):
         lines["duplication_check"].append((k, z, _value(lambda: sh.duplication_check(ctx, z))))
     k, phi = 0.998317992620744, 1.0651558848623712
     lines["u_of_phi"].append((k, phi, _value(lambda: sh.u_of_phi(k, phi))))
+    for k in (1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+        lines["u_of_phi"] += [(k, phi, _value(lambda: sh.u_of_phi(k, phi)))
+                              for phi in (1.2, 1.5, math.pi / 2.0)]
     for k in MODULI[:5]:
         lines["u_of_phi"] += [(k, phi, _value(lambda: sh.u_of_phi(k, phi))) for phi in (0.0, -0.0)]
         ctx = sh.ShenContext.from_modulus(k)
