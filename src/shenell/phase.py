@@ -32,10 +32,6 @@ _HALF_PI_LOW = 6.123233995736766e-17  # pi/2 - fl(pi/2)
 # step of the central differences of ``derivative_residuals``
 _STEP = 1e-5
 
-# (sin, cos, asin, sqrt) for a number and for an ndarray
-_MATH = (math.sin, math.cos, math.asin, math.sqrt)
-_NUMPY = (np.sin, np.cos, np.arcsin, np.sqrt)
-
 
 def phase_speed(k: Modulus, phi):
     """du/dphi at ``phi``, i.e. F(1/3, 2/3; 1/2; k^2 sin^2 phi). Always >= 1.
@@ -49,41 +45,30 @@ def phase_speed(k: Modulus, phi):
     and exactly 1 at phi = 0. Even and pi-periodic; a number phi is reduced
     to [-pi/2, pi/2] by ``math.remainder``, an ndarray (exactly on that
     branch) as phi - pi round(phi / pi), and a 0-d array runs as the
-    one-entry array. Raises DomainError unless 0 < k < 1, where
-    k |sin phi| >= 1, and for a non-finite phi, refusing an array whole.
+    one-entry array. Raises DomainError unless 0 < k < 1, and for a
+    non-finite phi, refusing an array with such an entry whole.
     """
     if not 0.0 < k < 1.0:
         raise DomainError(f"modulus out of range (0, 1): k={k!r}")
-    array = isinstance(phi, np.ndarray)
-    if array:
+    if isinstance(phi, np.ndarray):
         if not phi.ndim:  # numpy gives scalars, not arrays, for 0-d operands
             return phase_speed(k, phi.reshape(1)).reshape(())
         if not np.isfinite(phi).all():
             raise DomainError("phi holds an entry that is not finite")
         phi = np.abs(phi - math.pi * np.rint(phi / math.pi))  # half to even, as np.round
-        sin, cos, asin, sqrt = _NUMPY
-    else:
-        if not math.isfinite(phi):
-            raise DomainError(f"phi must be finite, got {phi!r}")
-        phi = abs(math.remainder(phi, math.pi))
-        sin, cos, asin, sqrt = _MATH
-    c = cos(phi)
-    one_minus_y = (1.0 - k) + k * (c * c / (1.0 + sin(phi)))
-    inside = one_minus_y > 0.0  # also rejects nan
-    if not (inside.all() if array else inside):
-        raise DomainError(f"k |sin phi| >= 1 at k={k!r}, phi={phi!r}")
-    return _speed_of(one_minus_y, cos, asin, sqrt)
+        return _speed(k, np.cos(phi), np.sin(phi))
+    if not math.isfinite(phi):
+        raise DomainError(f"phi must be finite, got {phi!r}")
+    phi = abs(math.remainder(phi, math.pi))
+    return _speed(k, math.cos(phi), math.sin(phi), math.cos, math.asin, math.sqrt)
 
 
-def _speed_of(one_minus_y, cos=np.cos, asin=np.arcsin, sqrt=np.sqrt):
-    # F(1/3, 2/3; 1/2; y^2) = cos(asin(y) / 3) / cos(asin(y)) from 1 - y > 0
+def _speed(k, c, s, cos=np.cos, asin=np.arcsin, sqrt=np.sqrt):
+    # F at y = k sin(theta) from c = cos(theta) and s = sin(theta) >= 0, so
+    # 1 - y >= 1 - k > 0; for t = pi/2 - theta, pass (sin t, cos t)
+    one_minus_y = (1.0 - k) + k * (c * c / (1.0 + s))
     return (cos(math.pi / 6.0 - (2.0 / 3.0) * asin(sqrt(0.5 * one_minus_y)))
             / sqrt(one_minus_y * (2.0 - one_minus_y)))
-
-
-def _speed_at(k, t):
-    # phase_speed at theta = pi/2 - t, for an array t in [0, pi/4]
-    return _speed_of((1.0 - k) + k * (np.sin(t) ** 2 / (1.0 + np.cos(t))))
 
 
 def u_of_phi(k: Modulus, phi):
@@ -92,7 +77,7 @@ def u_of_phi(k: Modulus, phi):
     Odd and strictly increasing in ``phi``; u(0) = 0. The integral runs over
     [0, |phi|] and takes the sign afterwards, so oddness is exact. The rule
     is fixed, with bounded work at every k: one 15-point Gauss-Legendre
-    panel of ``phase_speed`` over theta in [0, min(|phi|, pi/4)]; above
+    panel of the phase speed over theta in [0, min(|phi|, pi/4)]; above
     pi/4, t = pi/2 - theta = a sinh(sigma) with a = sqrt(2 (1 - k) / k),
     which moves F's branch point near t = +-i a to sigma = +-i pi/2, on
     ceil(asinh(pi / (4 a)) / 2) <= 10 equal sigma-panels. |phi| = fl(pi/2)
@@ -114,8 +99,8 @@ def u_of_phi(k: Modulus, phi):
         raise DomainError("phi, or an entry of it, is outside the principal branch "
                           "[-pi/2, pi/2], or nan")
     flat = size.ravel()
-    values = _panels(lambda theta: phase_speed(k, theta), np.zeros_like(flat),
-                     np.minimum(flat, _QUARTER_PI))
+    values = _panels(lambda theta: _speed(k, np.cos(theta), np.sin(theta)),
+                     np.zeros_like(flat), np.minimum(flat, _QUARTER_PI))
     far = flat > _QUARTER_PI
     if far.any():
         a = math.sqrt(2.0 * (1.0 - k)) / math.sqrt(k)  # 2 (1 - k) / k overflows at tiny k
@@ -124,14 +109,20 @@ def u_of_phi(k: Modulus, phi):
         gap = _HALF_PI - flat[far]  # exact (Sterbenz): pi/2 - |phi| = gap + _HALF_PI_LOW
         low = np.arcsinh((gap + _HALF_PI_LOW) / a)
         edges = low[:, None] + (top - low)[:, None] * (np.arange(n + 1) / n)
-        panels = _panels(lambda sigma: _speed_at(k, a * np.sinh(sigma)) * (a * np.cosh(sigma)),
-                         edges[:, :-1].ravel(), edges[:, 1:].ravel()).reshape(-1, n)
+        edges[:, -1] = top
+
+        def tail(sigma):  # dt/dsigma times the phase speed at theta = pi/2 - t
+            t = a * np.sinh(sigma)
+            return _speed(k, np.sin(t), np.cos(t)) * (a * np.cosh(sigma))
+
+        panels = _panels(tail, edges[:, :-1].ravel(), edges[:, 1:].ravel()).reshape(-1, n)
         # an ulp of a large end sigma moves t by ~sigma ulp(t), so the slivers
         # up to the true ends, pi/2 - |phi| and pi/2 - fl(pi/4), are added
-        rounded = a * np.sinh(edges[:, [0, -1]])
-        slivers = _speed_at(k, rounded) * np.column_stack(
-            [(rounded[:, 0] - gap) - _HALF_PI_LOW, (_QUARTER_PI - rounded[:, 1]) + _HALF_PI_LOW])
-        values[far] += np.cumsum(panels, axis=1)[:, -1] + (slivers[:, 0] + slivers[:, 1])
+        t_low, t_top = a * np.sinh(low), a * math.sinh(top)
+        slivers = (((t_low - gap) - _HALF_PI_LOW) * _speed(k, np.sin(t_low), np.cos(t_low))
+                   + ((_QUARTER_PI - t_top) + _HALF_PI_LOW)
+                   * _speed(k, math.sin(t_top), math.cos(t_top), math.cos, math.asin, math.sqrt))
+        values[far] += np.cumsum(panels, axis=1)[:, -1] + slivers
     values = np.copysign(values.reshape(phis.shape), phis)
     return values if array else values[0].item()
 
